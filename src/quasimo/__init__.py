@@ -10,7 +10,7 @@ The usual entry points:
 """
 
 from .ansatz import hardware_efficient, qaoa_ansatz, rx_ry, symmetric_trotter_step, trotter_step
-from .circuit import Circuit, Gate, Param, cancel_adjacent_inverses, exp_pauli
+from .circuit import Circuit, Gate, Param, PauliRotation, cancel_adjacent_inverses, exp_pauli
 from .costfn import CostFunctionEvaluator, EvaluatorConfig, evaluate
 from .model import (
     HeisenbergParams,
@@ -52,6 +52,7 @@ __all__ = [
     "ModelBuilder",
     "OptResult",
     "Param",
+    "PauliRotation",
     "PauliOperator",
     "PauliString",
     "QuantumSimulationModel",

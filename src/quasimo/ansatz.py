@@ -1,7 +1,7 @@
 """Circuit generators: Trotter steps, QAOA layers, and generic variational
 ansatz kernels."""
 
-from .circuit import Circuit, Param, cnot, exp_pauli, h, rx, ry, rz
+from .circuit import Circuit, Param, PauliRotation, cnot, h, rx, ry, rz
 from .pauli import PauliOperator
 from .simulator import NonHermitianError
 
@@ -16,15 +16,12 @@ def _hamiltonian_terms(hamiltonian: PauliOperator):
 def trotter_step(hamiltonian: PauliOperator, dt: float, num_qubits=None) -> Circuit:
     """First-order product step for exp(-i*H*dt).
 
-    One exp_pauli block per non-constant term, in canonical term order; the
-    per-step error scales as dt^2.
+    One exp(-i*c*dt*P) block per non-constant term, in canonical term order;
+    the per-step error scales as dt^2.
     """
     terms = _hamiltonian_terms(hamiltonian)
     n = hamiltonian.width if num_qubits is None else num_qubits
-    gates = []
-    for string, coeff in terms:
-        gates.extend(exp_pauli(coeff * dt, string, n).gates)
-    return Circuit(n, tuple(gates))
+    return Circuit(n, tuple(PauliRotation(string, coeff * dt) for string, coeff in terms))
 
 
 def symmetric_trotter_step(hamiltonian: PauliOperator, dt: float, num_qubits=None) -> Circuit:
@@ -35,12 +32,8 @@ def symmetric_trotter_step(hamiltonian: PauliOperator, dt: float, num_qubits=Non
     """
     terms = _hamiltonian_terms(hamiltonian)
     n = hamiltonian.width if num_qubits is None else num_qubits
-    gates = []
-    for string, coeff in terms:
-        gates.extend(exp_pauli(coeff * dt / 2, string, n).gates)
-    for string, coeff in reversed(terms):
-        gates.extend(exp_pauli(coeff * dt / 2, string, n).gates)
-    return Circuit(n, tuple(gates))
+    half = tuple(PauliRotation(string, coeff * dt / 2) for string, coeff in terms)
+    return Circuit(n, half + half[::-1])
 
 
 def qaoa_ansatz(cost: PauliOperator, steps: int, num_qubits: int) -> Circuit:
@@ -55,14 +48,13 @@ def qaoa_ansatz(cost: PauliOperator, steps: int, num_qubits: int) -> Circuit:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     terms = _hamiltonian_terms(cost)
-    gates = [h(q) for q in range(num_qubits)]
+    ops = [h(q) for q in range(num_qubits)]
     for k in range(steps):
         gamma = Param(2 * k)
-        for string, coeff in terms:
-            gates.extend(exp_pauli(coeff * gamma, string, num_qubits).gates)
+        ops.extend(PauliRotation(string, coeff * gamma) for string, coeff in terms)
         beta = Param(2 * k + 1)
-        gates.extend(rx(q, 2.0 * beta) for q in range(num_qubits))
-    return Circuit(num_qubits, tuple(gates), 2 * steps)
+        ops.extend(rx(q, 2.0 * beta) for q in range(num_qubits))
+    return Circuit(num_qubits, tuple(ops), 2 * steps)
 
 
 def hardware_efficient(num_qubits: int, layers: int) -> Circuit:

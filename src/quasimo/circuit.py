@@ -3,11 +3,17 @@
 Rotation convention: Rz(phi) = exp(-i*phi*Z/2), and Rx/Ry analogously.
 Global phase is not tracked.  Circuits are immutable after construction.
 
+A circuit is a sequence of ops: single gates and exp(-i*theta*P) blocks
+(``PauliRotation``).  The simulator runs a block as one Pauli rotation;
+``Circuit.gates`` expands every block into its basis-change, CNOT-ladder and
+Rz gates, so gate counts, the text dump and the cancellation pass see the
+gate-level circuit.
+
 Debug text dump: one gate per line, ``KIND q<i>[,q<j>][(angle)]``; symbolic
 angles print as ``(p<slot>)``, scaled slots as ``(<scale>*p<slot>)``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .pauli import PauliString
 
@@ -108,6 +114,10 @@ class Gate:
             return Gate(_INVERSE_PAIR[self.kind], self.qubits)
         return Gate(self.kind, self.qubits, -self.angle)
 
+    @property
+    def gates(self) -> tuple:
+        return (self,)
+
     def dump(self) -> str:
         text = f"{self.kind} " + ",".join(f"q{q}" for q in self.qubits)
         if self.angle is not None:
@@ -120,33 +130,91 @@ class Gate:
 
 
 @dataclass(frozen=True, slots=True)
+class PauliRotation:
+    """The block exp(-i*angle*P) for a non-identity Pauli string P.
+
+    ``angle`` is a float or a Param slot.  ``qubits`` is the string's
+    support.  ``gates`` is the gate-level expansion: change of basis into Z,
+    CNOT ladder onto the highest-index support qubit, Rz(2*angle), then undo.
+
+    Raises:
+        IdentityStringError: if ``string`` is the identity.
+    """
+
+    string: PauliString
+    angle: object  # float | Param
+    qubits: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.string.is_identity:
+            raise IdentityStringError("exp_pauli of the identity string is a global phase")
+        if not isinstance(self.angle, Param):
+            object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "qubits", self.string.support)
+
+    @property
+    def is_bound(self) -> bool:
+        return not isinstance(self.angle, Param)
+
+    def bound(self, values) -> "PauliRotation":
+        if isinstance(self.angle, Param):
+            return PauliRotation(self.string, self.angle.scale * values[self.angle.index])
+        return self
+
+    def inverse(self) -> "PauliRotation":
+        return PauliRotation(self.string, -self.angle)
+
+    @property
+    def gates(self) -> tuple:
+        pre = basis_change_gates(self.string)
+        support = self.qubits
+        ladder = tuple(cnot(support[i], support[i + 1]) for i in range(len(support) - 1))
+        return (
+            pre
+            + ladder
+            + (rz(support[-1], 2.0 * self.angle),)
+            + ladder[::-1]
+            + tuple(g.inverse() for g in reversed(pre))
+        )
+
+    def dump(self) -> str:
+        return "\n".join(g.dump() for g in self.gates)
+
+
+@dataclass(frozen=True, slots=True)
 class Circuit:
-    """An ordered gate list over a fixed-width register.
+    """An ordered list of ops (gates and PauliRotation blocks) over a
+    fixed-width register.
 
     ``num_params`` counts the distinct symbolic parameter slots; a fully
-    bound circuit has ``num_params == 0``.
+    bound circuit has ``num_params == 0``.  ``gates`` is the gate-level
+    expansion of ``ops``.
     """
 
     num_qubits: int
-    gates: tuple = ()
+    ops: tuple = ()
     num_params: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "ops", tuple(self.ops))
         if self.num_qubits < 0:
             raise ValueError("num_qubits must be non-negative")
-        for gate in self.gates:
-            for q in gate.qubits:
+        for op in self.ops:
+            for q in op.qubits:
                 if q >= self.num_qubits:
                     raise WidthMismatchError(
-                        f"gate {gate.dump()!r} touches qubit {q} on a "
+                        f"gate {op.dump()!r} touches qubit {q} on a "
                         f"{self.num_qubits}-qubit circuit"
                     )
-            if isinstance(gate.angle, Param) and not 0 <= gate.angle.index < self.num_params:
+            if isinstance(op.angle, Param) and not 0 <= op.angle.index < self.num_params:
                 raise ValueError(
-                    f"parameter slot {gate.angle.index} out of range "
+                    f"parameter slot {op.angle.index} out of range "
                     f"(num_params={self.num_params})"
                 )
+
+    @property
+    def gates(self) -> tuple:
+        return tuple(gate for op in self.ops for gate in op.gates)
 
     @property
     def is_bound(self) -> bool:
@@ -158,10 +226,11 @@ class Circuit:
 
     def gate_counts(self) -> dict:
         """Per-kind gate counts plus a ``"total"`` entry."""
+        gates = self.gates
         counts = {}
-        for gate in self.gates:
+        for gate in gates:
             counts[gate.kind] = counts.get(gate.kind, 0) + 1
-        counts["total"] = len(self.gates)
+        counts["total"] = len(gates)
         return counts
 
     def bind_parameters(self, values) -> "Circuit":
@@ -171,7 +240,7 @@ class Circuit:
             raise ArityMismatchError(
                 f"circuit has {self.num_params} parameter(s), got {len(values)} value(s)"
             )
-        return Circuit(self.num_qubits, tuple(g.bound(values) for g in self.gates), 0)
+        return Circuit(self.num_qubits, tuple(op.bound(values) for op in self.ops), 0)
 
     def compose(self, other: "Circuit") -> "Circuit":
         """This circuit followed by ``other`` (program order)."""
@@ -181,7 +250,7 @@ class Circuit:
             )
         return Circuit(
             self.num_qubits,
-            self.gates + other.gates,
+            self.ops + other.ops,
             max(self.num_params, other.num_params),
         )
 
@@ -189,7 +258,7 @@ class Circuit:
         """Circuit implementing the adjoint unitary."""
         return Circuit(
             self.num_qubits,
-            tuple(g.inverse() for g in reversed(self.gates)),
+            tuple(op.inverse() for op in reversed(self.ops)),
             self.num_params,
         )
 
@@ -261,28 +330,20 @@ def basis_change_gates(string: PauliString) -> tuple:
 
 
 def exp_pauli(theta, string: PauliString, num_qubits=None) -> Circuit:
-    """Circuit for exp(-i*theta*P) for a non-identity Pauli string P.
+    """One-block circuit for exp(-i*theta*P), P a non-identity Pauli string.
 
-    Change of basis into Z, CNOT ladder onto the highest-index support
-    qubit, Rz(2*theta), then undo.  ``theta`` may be a Param slot.
+    ``theta`` may be a Param slot.  The block's gate expansion is described
+    under PauliRotation.
 
     Raises:
         IdentityStringError: if ``string`` is the identity.
     """
-    if string.is_identity:
-        raise IdentityStringError("exp_pauli of the identity string is a global phase")
+    block = PauliRotation(string, theta)
     n = string.width if num_qubits is None else num_qubits
     if n < string.width:
         raise WidthMismatchError(f"string {string} does not fit on {n} qubits")
-    pre = list(basis_change_gates(string))
-    support = string.support
-    target = support[-1]
-    ladder = [cnot(support[i], support[i + 1]) for i in range(len(support) - 1)]
-    angle = 2.0 * theta if isinstance(theta, Param) else 2.0 * float(theta)
-    gates = pre + ladder + [rz(target, angle)] + [g for g in reversed(ladder)]
-    gates += [g.inverse() for g in reversed(pre)]
     num_params = theta.index + 1 if isinstance(theta, Param) else 0
-    return Circuit(n, tuple(gates), num_params)
+    return Circuit(n, (block,), num_params)
 
 
 def _cancels(a: Gate, b: Gate) -> bool:

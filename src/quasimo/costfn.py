@@ -80,7 +80,7 @@ def evaluate(prep: Circuit, obs: PauliOperator, cfg: EvaluatorConfig) -> float:
     """
     width = max(prep.num_qubits, obs.width)
     if width > prep.num_qubits:
-        prep = Circuit(width, prep.gates, prep.num_params)
+        prep = Circuit(width, prep.ops, prep.num_params)
     return evaluate_state(run(prep), obs, cfg)
 
 

@@ -5,14 +5,26 @@ Amplitude index convention: qubit 0 is the least-significant bit, so basis
 state k has qubit i in state (k >> i) & 1.  Bitstring keys in ShotResult
 list qubit 0 first (leftmost), matching ket notation like |100> for a
 single X on qubit 0 of a three-qubit register.
+
+Pauli kernel: a Pauli string P, with X/Y factors on the qubits of x_mask and
+Z/Y factors on those of z_mask, acts as
+    (P psi)[k] = (-i)^#Y * (-1)^popcount(k & z_mask) * psi[k ^ x_mask].
+On the [2]*n tensor view of the amplitudes, k ^ x_mask is the view with the
+X/Y axes reversed and each Z/Y sign negates one half-slice, so P psi takes
+one strided copy plus one in-place negation per Z/Y factor and no index
+arrays.  exp(-i*theta*P) psi = cos(theta) psi - i sin(theta) P psi; when P
+has only a few Z factors it is a phase per parity slice instead.  Pauli
+strings, Pauli-sum operators, expectation values, exp(-i*theta*P) blocks and
+the X/Y/Z/Rx/Ry/Rz gates all run through this kernel.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from math import cos, sin
 
 import numpy as np
 
-from .circuit import Circuit, Gate, UnboundParametersError, WidthMismatchError
+from .circuit import Circuit, Gate, PauliRotation, UnboundParametersError, WidthMismatchError
 from .pauli import PauliOperator, PauliString, TooManyQubitsError
 
 # Dense amplitudes: 2^24 complex values is ~0.25 GB, a sane desk-scale cap.
@@ -155,10 +167,73 @@ def _apply_2q(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     return tensor.reshape(-1)
 
 
+_FULL = slice(None)
+_REVERSED = slice(None, None, -1)
+# The qubit-is-0 and qubit-is-1 halves of an axis.  Slices, not the indices
+# 0 and 1, so that even a one-qubit tensor yields writable views.
+_HALVES = (slice(0, 1), slice(1, None))
+# A Z-only rotation on m qubits runs as 2^m phase-scaled slice copies (one
+# pass over the state in all).  The general rotation takes three passes plus
+# half a pass per Z factor, so slices win until the 2^m calls' overhead
+# dominates.
+_DIAGONAL_MAX_FACTORS = 4
+
+_PAULI_GATES = frozenset("XYZ")
+_ROTATION_AXIS = {"Rx": "X", "Ry": "Y", "Rz": "Z"}
+
+
+def _tensor_index(n: int, qubit_slices) -> tuple:
+    """Index into the [2]*n tensor view applying a slice to each given qubit."""
+    index = [_FULL] * n
+    for q, part in qubit_slices:
+        index[n - 1 - q] = part  # axis n-1-q holds qubit q
+    return tuple(index)
+
+
+def _pauli_product(amps: np.ndarray, factors, n: int, scale: complex) -> np.ndarray:
+    """scale * P|psi> as a new flat array; ``factors`` are P's (qubit, axis) pairs."""
+    scale *= (-1j) ** sum(axis == "Y" for _, axis in factors)
+    flips = _tensor_index(n, ((q, _REVERSED) for q, axis in factors if axis != "Z"))
+    out = np.empty_like(amps)
+    tensor = out.reshape([2] * n)
+    np.multiply(amps.reshape([2] * n)[flips], scale, out=tensor)
+    for q, axis in factors:
+        if axis != "X":
+            half = tensor[_tensor_index(n, ((q, _HALVES[1]),))]
+            # Not np.negative: numpy's complex negation is several times slower.
+            np.multiply(half, -1.0, out=half)
+    return out
+
+
+def _pauli_rotation(amps: np.ndarray, factors, theta: float, n: int, out=None) -> np.ndarray:
+    """exp(-i*theta*P)|psi>, written to ``out`` (which may be ``amps``) or a
+    new array."""
+    if len(factors) <= _DIAGONAL_MAX_FACTORS and all(axis == "Z" for _, axis in factors):
+        # Phase e^{-i*theta} where the Z qubits have even parity, e^{+i*theta} where odd.
+        phases = (complex(cos(theta), -sin(theta)), complex(cos(theta), sin(theta)))
+        if out is None:
+            out = np.empty_like(amps)
+        source, target = amps.reshape([2] * n), out.reshape([2] * n)
+        for bits in itertools.product((0, 1), repeat=len(factors)):
+            index = _tensor_index(n, ((q, _HALVES[bit]) for (q, _), bit in zip(factors, bits)))
+            np.multiply(source[index], phases[sum(bits) % 2], out=target[index])
+        return out
+    rotated = _pauli_product(amps, factors, n, -1j * sin(theta))
+    out = np.multiply(amps, cos(theta), out=out)
+    out += rotated
+    return out
+
+
 def apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply one bound gate to a flat amplitude array."""
+    """Apply one bound gate to a flat amplitude array; returns a new array."""
     if not gate.is_bound:
         raise UnboundParametersError(f"gate {gate.dump()!r} has an unbound parameter")
+    kind = gate.kind
+    if kind in _PAULI_GATES:
+        return _pauli_product(amps, ((gate.qubits[0], kind),), n, 1.0)
+    if kind in _ROTATION_AXIS:
+        factors = ((gate.qubits[0], _ROTATION_AXIS[kind]),)
+        return _pauli_rotation(amps, factors, gate.angle / 2, n)
     if len(gate.qubits) == 1:
         return _apply_1q(amps, gate_matrix(gate), gate.qubits[0], n)
     return _apply_2q(amps, gate, n)
@@ -166,10 +241,7 @@ def apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
 
 def apply_pauli_string(amps: np.ndarray, string: PauliString, n: int) -> np.ndarray:
     """P|psi> for a single Pauli string, as a new amplitude array."""
-    out = amps
-    for q, axis in string.factors:
-        out = _apply_1q(out, _FIXED_1Q[axis], q, n)
-    return out
+    return _pauli_product(amps, string.factors, n, 1.0)
 
 
 def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
@@ -210,8 +282,11 @@ def run(circuit: Circuit, initial=None) -> StateVector:
     else:
         state = StateVector.basis(n, int(initial))
     amps = state.amplitudes
-    for gate in circuit.gates:
-        amps = apply_gate(amps, gate, n)
+    for op in circuit.ops:
+        if isinstance(op, PauliRotation):
+            _pauli_rotation(amps, op.string.factors, op.angle, n, out=amps)
+        else:
+            amps = apply_gate(amps, op, n)
     return StateVector(n, amps)
 
 

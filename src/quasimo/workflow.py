@@ -11,6 +11,9 @@ WorkflowResult keys by workflow:
     vqe:            "energy", "opt-params", "trace", "evaluations"
     qaoa:           "energy", "opt-params", "trace", "evaluations"
     qite:           "exp-vals", "energy", "final-circuit-stats"
+
+For qaoa, "energy", "opt-params" and "trace" belong to the best start, while
+"evaluations" is the total over all starts.
 """
 
 import itertools
@@ -18,12 +21,12 @@ import itertools
 import numpy as np
 
 from . import ansatz
-from .circuit import Circuit, cancel_adjacent_inverses, exp_pauli
+from .circuit import Circuit, PauliRotation, cancel_adjacent_inverses
 from .costfn import CostFunctionEvaluator, EvaluatorConfig
 from .model import QuantumSimulationModel
 from .optimizer import Optimizer, create_optimizer
 from .pauli import PauliString, TooManyQubitsError
-from .simulator import StateVector, apply_gate, apply_operator, apply_pauli_string, run
+from .simulator import StateVector, apply_operator, apply_pauli_string, run
 from .tapering import SingularSystemError
 from .validation import QuantumValidationModel
 
@@ -41,6 +44,10 @@ class BadConfigError(ValueError):
 
 class NoOptimizerError(BadConfigError):
     """Variational workflow configured without an optimizer."""
+
+
+class QiteNormalizationError(ValueError):
+    """A QITE step's first-order norm factor 1 - 2*dbeta*<H> is not positive."""
 
 
 class WorkflowResult(dict):
@@ -118,7 +125,7 @@ class QuantumSimulationWorkflow:
             return Circuit(model.num_qubits)
         prep = model.state_prep
         if prep.num_qubits < model.num_qubits:
-            prep = Circuit(model.num_qubits, prep.gates, prep.num_params)
+            prep = Circuit(model.num_qubits, prep.ops, prep.num_params)
         return prep
 
 
@@ -159,13 +166,10 @@ class TimeDependentWorkflow(QuantumSimulationWorkflow):
         for _ in range(steps):
             state = run(step, state)
             values.append(self.evaluator.evaluate_state(state, model.observable))
-        stats = {"total": prep.num_gates + steps * step.num_gates}
-        for kind, count in prep.gate_counts().items():
-            if kind != "total":
-                stats[kind] = stats.get(kind, 0) + count
-        for kind, count in step.gate_counts().items():
-            if kind != "total":
-                stats[kind] = stats.get(kind, 0) + steps * count
+        stats = {"total": 0}
+        for circuit, repeats in ((prep, 1), (step, steps)):
+            for kind, count in circuit.gate_counts().items():
+                stats[kind] = stats.get(kind, 0) + repeats * count
         return WorkflowResult({"exp-vals": values, "final-circuit-stats": stats})
 
 
@@ -247,10 +251,12 @@ class QaoaWorkflow(QuantumSimulationWorkflow):
 
         seed = self._seed()
         best = None
+        evaluations = 0
         for start in range(starts):
             rng = np.random.default_rng([seed, start])
             x0 = rng.uniform(0.0, 2 * np.pi, size=2 * p)
             opt = optimizer.minimize(objective, x0)
+            evaluations += opt.evaluations_used
             if best is None or opt.best_value < best.best_value:
                 best = opt
         return WorkflowResult(
@@ -258,7 +264,7 @@ class QaoaWorkflow(QuantumSimulationWorkflow):
                 "energy": best.best_value,
                 "opt-params": list(best.best_params),
                 "trace": best.trace,
-                "evaluations": best.evaluations_used,
+                "evaluations": evaluations,
             }
         )
 
@@ -278,7 +284,8 @@ class QiteWorkflow(QuantumSimulationWorkflow):
     """Imaginary-time evolution by per-step unitary fits.
 
     At each step the target state e^{-dbeta*H}|psi>, normalized to first
-    order via c = 1 - 2*dbeta*<H>, is matched by a unitary generated over
+    order via c = 1 - 2*dbeta*<H> (a step with c <= 0 raises
+    QiteNormalizationError), is matched by a unitary generated over
     the full non-identity Pauli basis: solve
     (S + S^T + lambda*I) a = 2*Im<psi|P_I H|psi> / sqrt(c),
     with S_IJ = <psi|P_I P_J|psi>, then append exp(-i*a_I*dbeta*P_I) in
@@ -328,18 +335,15 @@ class QiteWorkflow(QuantumSimulationWorkflow):
         values = [self.evaluator.evaluate_state(state, model.observable)]
         for _ in range(steps):
             coeffs = self._solve_step(amps, hamiltonian, basis, dbeta, n)
-            gates = []
-            for string, a in zip(basis, coeffs):
-                theta = a * dbeta
-                if abs(theta) < 1e-12:
-                    continue
-                gates.extend(exp_pauli(theta, string, n).gates)
-            chunk = Circuit(n, tuple(gates))
+            thetas = coeffs * dbeta
+            chunk = Circuit(
+                n,
+                tuple(PauliRotation(s, t) for s, t in zip(basis, thetas) if abs(t) >= 1e-12),
+            )
             circuit = circuit.compose(chunk)
             if optimizer_pass is not None:
                 circuit = optimizer_pass(circuit)
-            for gate in chunk.gates:
-                amps = apply_gate(amps, gate, n)
+            amps = run(chunk, state).amplitudes
             amps = amps / np.linalg.norm(amps)
             state = StateVector(n, amps)
             values.append(self.evaluator.evaluate_state(state, model.observable))
@@ -358,7 +362,12 @@ class QiteWorkflow(QuantumSimulationWorkflow):
         h_amps = apply_operator(amps, hamiltonian, n)
         b = np.imag(rotated.conj() @ h_amps)
         energy = float(np.real(np.vdot(amps, h_amps)))
-        norm_factor = max(1.0 - 2.0 * dbeta * energy, 1e-12)
+        norm_factor = 1.0 - 2.0 * dbeta * energy
+        if norm_factor <= 0.0:
+            raise QiteNormalizationError(
+                f"QITE norm factor 1 - 2*step-size*<H> = {norm_factor!r} is not positive "
+                f"(step-size {dbeta!r}, <H> = {energy!r}); reduce 'step-size'"
+            )
         matrix = (overlap + overlap.T).real + QITE_REGULARIZATION * np.eye(len(basis))
         rhs = 2.0 * b / np.sqrt(norm_factor)
         try:

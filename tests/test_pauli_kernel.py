@@ -1,0 +1,192 @@
+"""Differential tests for the strided-view Pauli kernel.
+
+Every fast path is checked against an independent oracle: the dense
+``PauliOperator.to_matrix``, scipy's ``expm``, the gate-level expansion of a
+block run gate by gate, and the tensordot path with each gate's dense matrix.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+
+from quasimo.circuit import GATE_KINDS, Circuit, Gate, Param, PauliRotation, exp_pauli
+from quasimo.model import create_model
+from quasimo.pauli import PauliOperator, PauliString
+from quasimo.simulator import (
+    StateVector,
+    _apply_1q,
+    apply_gate,
+    apply_operator,
+    apply_pauli_string,
+    expectation,
+    gate_matrix,
+    run,
+)
+from quasimo.workflow import get_workflow
+
+from conftest import random_hermitian, random_state
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# "YY" weights Y twice as heavily as X or Z; Y carries the kernel's phase.
+AXES = "XYYZ"
+
+
+@st.composite
+def strings(draw, min_factors=1, max_qubits=6):
+    """(num_qubits, PauliString, state seed)."""
+    n = draw(st.integers(1, max_qubits))
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=min_factors, max_size=n, unique=True))
+    axes = draw(st.lists(st.sampled_from(AXES), min_size=len(qubits), max_size=len(qubits)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, PauliString(dict(zip(qubits, axes))), seed
+
+
+angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
+
+
+def dense(string, n):
+    return PauliOperator.from_string(string).to_matrix(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strings(min_factors=0))
+def test_apply_pauli_string_matches_dense(case):
+    n, string, seed = case
+    amps = random_state(n, np.random.default_rng(seed))
+    expected = dense(string, n) @ amps
+    assert np.allclose(apply_pauli_string(amps, string, n), expected, atol=1e-12)
+
+
+def test_all_y_string_phase():
+    # Y(0)*Y(1)*Y(2) carries (-i)^3 = i on top of the flips and signs.
+    n = 3
+    string = PauliString({0: "Y", 1: "Y", 2: "Y"})
+    amps = random_state(n, np.random.default_rng(7))
+    assert np.allclose(apply_pauli_string(amps, string, n), dense(string, n) @ amps, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strings(), angles)
+def test_native_block_matches_expm(case, theta):
+    n, string, seed = case
+    initial = StateVector(n, random_state(n, np.random.default_rng(seed)))
+    circuit = exp_pauli(theta, string, n)
+    expected = expm(-1j * theta * dense(string, n)) @ initial.amplitudes
+    assert np.allclose(run(circuit, initial).amplitudes, expected, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strings(), angles)
+def test_native_block_matches_its_gate_expansion(case, theta):
+    n, string, seed = case
+    amps = random_state(n, np.random.default_rng(seed))
+    block = PauliRotation(string, theta)
+    native = run(Circuit(n, (block,)), StateVector(n, amps)).amplitudes
+    for gate in block.gates:
+        amps = apply_gate(amps, gate, n)
+    assert np.allclose(native, amps, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strings(), st.lists(angles, min_size=2, max_size=2), st.floats(-3, 3))
+def test_bound_param_block_matches_bound_expansion(case, values, scale):
+    n, string, seed = case
+    symbolic = Circuit(n, (PauliRotation(string, Param(1, scale)),), 2)
+    expanded = Circuit(n, symbolic.gates, 2)
+    bound = symbolic.bind_parameters(values)
+    assert bound.gates == expanded.bind_parameters(values).gates
+    initial = StateVector(n, random_state(n, np.random.default_rng(seed)))
+    assert np.allclose(
+        run(bound, initial).amplitudes,
+        run(expanded.bind_parameters(values), initial).amplitudes,
+        atol=1e-12,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), angles)
+def test_single_qubit_gates_match_dense_matrices(n, seed, theta):
+    rng = np.random.default_rng(seed)
+    amps = random_state(n, rng)
+    qubit = int(rng.integers(n))
+    for kind, (arity, takes_angle) in GATE_KINDS.items():
+        if arity != 1:
+            continue
+        gate = Gate(kind, (qubit,), theta if takes_angle else None)
+        expected = _apply_1q(amps, gate_matrix(gate), qubit, n)
+        assert np.allclose(apply_gate(amps, gate, n), expected, atol=1e-12), kind
+
+
+def test_apply_gate_leaves_its_input_unchanged(rng):
+    amps = random_state(3, rng)
+    before = amps.copy()
+    for gate in (Gate("Rz", (1,), 0.4), Gate("Ry", (0,), 0.4), Gate("Y", (2,))):
+        apply_gate(amps, gate, 3)
+    assert np.array_equal(amps, before)
+
+
+def test_run_leaves_the_initial_state_unchanged(rng):
+    initial = StateVector(3, random_state(3, rng))
+    before = initial.amplitudes.copy()
+    run(exp_pauli(0.3, PauliString({0: "X", 2: "Y"}), 3), initial)
+    assert np.array_equal(initial.amplitudes, before)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_operator_and_expectation_match_dense(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    op = random_hermitian(n, 5, rng)
+    amps = random_state(n, rng)
+    matrix = op.to_matrix(n)
+    assert np.allclose(apply_operator(amps, op, n), matrix @ amps, atol=1e-10)
+    expected = float(np.real(np.vdot(amps, matrix @ amps)))
+    assert expectation(StateVector(n, amps), op) == pytest.approx(expected, abs=1e-10)
+
+
+def test_block_ops_expand_to_the_gate_circuit():
+    string = PauliString({0: "Y", 2: "Z"})
+    circuit = exp_pauli(0.25, string, 3)
+    assert circuit.ops == (PauliRotation(string, 0.25),)
+    assert circuit.num_gates == 7
+    assert circuit.inverse().gates == Circuit(3, circuit.gates).inverse().gates
+
+
+def run_config(name, **workflow_overrides):
+    config = json.loads((CONFIG_DIR / name).read_text())
+    model_section = dict(config["model"])
+    model = create_model(model_section.pop("kind"), model_section)
+    workflow_section = dict(config["workflow"], **workflow_overrides)
+    return get_workflow(workflow_section.pop("name"), workflow_section).execute(model)
+
+
+def test_heisenberg_quench_circuit_stats_pinned():
+    stats = run_config("heisenberg_quench_g0.json")["final-circuit-stats"]
+    assert stats == {
+        "total": 28804,
+        "X": 4,
+        "H": 12800,
+        "CNOT": 6400,
+        "Rz": 3200,
+        "Sdg": 3200,
+        "S": 3200,
+    }
+
+
+def test_qite_cancel_inverses_circuit_stats_pinned():
+    result = run_config("qite_tfim_000.json", **{"circuit-optimizer": "cancel-inverses"})
+    assert result["final-circuit-stats"] == {
+        "Sdg": 233,
+        "H": 884,
+        "Rz": 544,
+        "CNOT": 1464,
+        "S": 233,
+        "total": 3358,
+    }

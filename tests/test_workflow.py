@@ -14,11 +14,12 @@ from quasimo.model import (
     create_star_maxcut,
     create_tfim,
 )
-from quasimo.optimizer import nelder_mead_minimize
+from quasimo.optimizer import Optimizer, nelder_mead_minimize
 from quasimo.pauli import PauliOperator, TooManyQubitsError, X, Z, parse
 from quasimo.validation import CriteriaValidationModel, ValidationCriteria, exact_ground_energy
 from quasimo.workflow import (
     BadConfigError,
+    QiteNormalizationError,
     QuantumSimulationWorkflow,
     UnknownWorkflowError,
     WorkflowResult,
@@ -324,3 +325,36 @@ def test_workflow_validate_delegates():
     accepted, measured = flow.validate(result, CriteriaValidationModel(criteria))
     assert accepted
     assert measured == pytest.approx(0.0, abs=1e-10)
+
+
+# -- work accounting and numerical guards ---------------------------------------
+
+
+class CountingOptimizer(Optimizer):
+    """Records each minimize call's evaluation count."""
+
+    def __init__(self, name, options=None):
+        super().__init__(name, options)
+        self.per_start = []
+
+    def minimize(self, f, x0):
+        result = super().minimize(f, x0)
+        self.per_start.append(result.evaluations_used)
+        return result
+
+
+def test_qaoa_evaluations_total_all_starts():
+    optimizer = CountingOptimizer("nelder-mead", {"budget": 60})
+    flow = get_workflow("qaoa", {"steps": 1, "optimizer": optimizer, "starts": 4, "seed": 3})
+    result = flow.execute(create_star_maxcut(3))
+    assert len(optimizer.per_start) == 4
+    assert result["evaluations"] == sum(optimizer.per_start)
+    assert result["evaluations"] > max(optimizer.per_start)
+
+
+def test_qite_rejects_non_positive_norm_factor():
+    # |000> has <H> = +2 under Jz = hx = +1, so 1 - 2*0.45*2 = -0.8.
+    model = create_model("tfim", {"Jz": 1.0, "hx": 1.0, "num_spins": 3, "initial-state": "000"})
+    flow = get_workflow("qite", {"steps": 1, "step-size": 0.45})
+    with pytest.raises(QiteNormalizationError, match=r"step-size.*<H> = 2\.0"):
+        flow.execute(model)
