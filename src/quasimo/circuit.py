@@ -152,10 +152,6 @@ class PauliRotation:
             object.__setattr__(self, "angle", float(self.angle))
         object.__setattr__(self, "qubits", self.string.support)
 
-    @property
-    def is_bound(self) -> bool:
-        return not isinstance(self.angle, Param)
-
     def bound(self, values) -> "PauliRotation":
         if isinstance(self.angle, Param):
             return PauliRotation(self.string, self.angle.scale * values[self.angle.index])

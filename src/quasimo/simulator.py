@@ -12,13 +12,11 @@ Z/Y factors on those of z_mask, acts as
 On the [2]*n tensor view of the amplitudes, k ^ x_mask is the view with the
 X/Y axes reversed and each Z/Y sign negates one half-slice, so P psi takes
 one strided copy plus one in-place negation per Z/Y factor and no index
-arrays.  exp(-i*theta*P) psi = cos(theta) psi - i sin(theta) P psi; when P
-has only a few Z factors it is a phase per parity slice instead.  Pauli
+arrays.  exp(-i*theta*P) psi = cos(theta) psi - i sin(theta) P psi.  Pauli
 strings, Pauli-sum operators, expectation values, exp(-i*theta*P) blocks and
 the X/Y/Z/Rx/Ry/Rz gates all run through this kernel.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from math import cos, sin
 
@@ -172,11 +170,6 @@ _REVERSED = slice(None, None, -1)
 # The qubit-is-0 and qubit-is-1 halves of an axis.  Slices, not the indices
 # 0 and 1, so that even a one-qubit tensor yields writable views.
 _HALVES = (slice(0, 1), slice(1, None))
-# A Z-only rotation on m qubits runs as 2^m phase-scaled slice copies (one
-# pass over the state in all).  The general rotation takes three passes plus
-# half a pass per Z factor, so slices win until the 2^m calls' overhead
-# dominates.
-_DIAGONAL_MAX_FACTORS = 4
 
 _PAULI_GATES = frozenset("XYZ")
 _ROTATION_AXIS = {"Rx": "X", "Ry": "Y", "Rz": "Z"}
@@ -208,16 +201,6 @@ def _pauli_product(amps: np.ndarray, factors, n: int, scale: complex) -> np.ndar
 def _pauli_rotation(amps: np.ndarray, factors, theta: float, n: int, out=None) -> np.ndarray:
     """exp(-i*theta*P)|psi>, written to ``out`` (which may be ``amps``) or a
     new array."""
-    if len(factors) <= _DIAGONAL_MAX_FACTORS and all(axis == "Z" for _, axis in factors):
-        # Phase e^{-i*theta} where the Z qubits have even parity, e^{+i*theta} where odd.
-        phases = (complex(cos(theta), -sin(theta)), complex(cos(theta), sin(theta)))
-        if out is None:
-            out = np.empty_like(amps)
-        source, target = amps.reshape([2] * n), out.reshape([2] * n)
-        for bits in itertools.product((0, 1), repeat=len(factors)):
-            index = _tensor_index(n, ((q, _HALVES[bit]) for (q, _), bit in zip(factors, bits)))
-            np.multiply(source[index], phases[sum(bits) % 2], out=target[index])
-        return out
     rotated = _pauli_product(amps, factors, n, -1j * sin(theta))
     out = np.multiply(amps, cos(theta), out=out)
     out += rotated

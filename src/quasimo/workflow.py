@@ -166,10 +166,13 @@ class TimeDependentWorkflow(QuantumSimulationWorkflow):
         for _ in range(steps):
             state = run(step, state)
             values.append(self.evaluator.evaluate_state(state, model.observable))
-        stats = {"total": 0}
-        for circuit, repeats in ((prep, 1), (step, steps)):
-            for kind, count in circuit.gate_counts().items():
-                stats[kind] = stats.get(kind, 0) + repeats * count
+        stats = {"total": prep.num_gates + steps * step.num_gates}
+        for kind, count in prep.gate_counts().items():
+            if kind != "total":
+                stats[kind] = stats.get(kind, 0) + count
+        for kind, count in step.gate_counts().items():
+            if kind != "total":
+                stats[kind] = stats.get(kind, 0) + steps * count
         return WorkflowResult({"exp-vals": values, "final-circuit-stats": stats})
 
 
