@@ -1,10 +1,10 @@
 """Config-driven experiment runner.
 
 ``quasimo run --config cfg.json`` builds a model from the config's "model"
-section, a workflow from its "workflow" section, executes, and writes a CSV
-(schemas: time-dependent ``step,time,exp_val``; vqe/qaoa ``eval,energy``;
-qite ``step,beta,energy``).  Floats are printed with repr, so a fixed seed
-gives byte-identical output.
+section, a workflow from its "workflow" section, executes, and writes the CSV
+the workflow's ``csv_table`` lays out (time-dependent ``step,time,exp_val``;
+qite ``step,beta,energy``; vqe, qaoa and other workflows ``eval,energy``).
+Floats are printed with repr, so a fixed seed gives byte-identical output.
 
 Exit codes: 0 success, 2 config error (the message names the offending
 key), 3 runtime error; ``validate`` exits 0 when accepted, 1 when rejected.
@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import ansatz, model as model_mod, workflow as workflow_mod
+from .optimizer import _option
 from .tapering import auto_sector, find_z2_symmetries, taper
 from .validation import distance
 
@@ -58,6 +59,9 @@ def _load_config(path: str) -> dict:
     for section in ("model", "workflow"):
         if section not in config:
             raise ConfigError(f"config needs a '{section}' section")
+    for section, value in config.items():
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section '{section}' must be a JSON object")
     return config
 
 
@@ -89,26 +93,11 @@ def _effective_seed(args_seed, workflow_section: dict):
     if args_seed is not None:
         return args_seed
     if "seed" in workflow_section:
-        return int(workflow_section["seed"])
+        return _option(workflow_section, "seed", int)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         return int(env)
     return 0
-
-
-def _csv_rows(workflow_name: str, result, config: dict):
-    if workflow_name == "time-dependent":
-        dt = float(config["workflow"]["dt"])
-        header = ["step", "time", "exp_val"]
-        rows = [[k, k * dt, v] for k, v in enumerate(result["exp-vals"])]
-    elif workflow_name == "qite":
-        dbeta = float(config["workflow"]["step-size"])
-        header = ["step", "beta", "energy"]
-        rows = [[k, k * dbeta, v] for k, v in enumerate(result["exp-vals"])]
-    else:
-        header = ["eval", "energy"]
-        rows = [[k, v] for k, v in result["trace"]]
-    return header, rows
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -129,22 +118,15 @@ def _cmd_run(args) -> int:
         if unknown:
             raise ConfigError(f"unknown evaluator key '{sorted(unknown)[0]}'")
         if "shots" in evaluator_section:
-            workflow_section.setdefault("shots", int(evaluator_section["shots"]))
+            workflow_section.setdefault("shots", _option(evaluator_section, "shots", int))
         if "seed" in evaluator_section:
-            workflow_section.setdefault("seed", int(evaluator_section["seed"]))
+            workflow_section.setdefault("seed", _option(evaluator_section, "seed", int))
         workflow_section["seed"] = _effective_seed(args.seed, workflow_section)
         if args.shots is not None:
             workflow_section["shots"] = args.shots
         built = _build_model(config["model"])
         flow = workflow_mod.get_workflow(name, workflow_section)
-    except (
-        ConfigError,
-        workflow_mod.BadConfigError,
-        workflow_mod.UnknownWorkflowError,
-        model_mod.UnknownModelError,
-        model_mod.UnknownObservableError,
-        ValueError,
-    ) as exc:
+    except (workflow_mod.UnknownWorkflowError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -154,7 +136,7 @@ def _cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         filename = config.get("output", {}).get("csv", f"{name}.csv")
         out_path = out_dir / filename
-        header, rows = _csv_rows(name, result, config)
+        header, rows = flow.csv_table(result)
         _write_csv(out_path, header, rows)
     except Exception as exc:  # runtime failures map to a distinct exit code
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -181,47 +181,47 @@ def nelder_mead_minimize(f, x0, budget: int, tolerance: float = 1e-8) -> OptResu
     return tracker.result()
 
 
+def _option(options: dict, key: str, convert, default=None):
+    """``convert(options[key])``, or ``default`` when the key is absent; a value
+    that does not convert raises a ValueError naming the key."""
+    if key not in options:
+        return default
+    try:
+        return convert(options[key])
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"config key '{key}' must be {kind}, got {options[key]!r}") from None
+
+
+_NAMES = ("spsa", "nelder-mead")
+
+
 class Optimizer:
     """A named minimization method with frozen options.
 
     Options (all optional): ``budget`` (default 200), ``seed``,
     ``perturbation`` and ``stability`` (SPSA), ``tolerance`` (Nelder-Mead).
+    An unknown name or an option value that does not convert raises a
+    ValueError.
     """
 
     def __init__(self, name: str, options: dict | None = None):
-        if name not in _METHODS:
-            raise ValueError(f"unknown optimizer {name!r}; known: {sorted(_METHODS)}")
+        if name not in _NAMES:
+            raise ValueError(f"unknown optimizer {name!r}; known: {sorted(_NAMES)}")
+        options = options or {}
         self.name = name
-        self.options = dict(options or {})
+        self.budget = _option(options, "budget", int, 200)
+        self.seed = _option(options, "seed", int, 0)
+        self.perturbation = _option(options, "perturbation", float, SPSA_PERTURBATION)
+        self.stability = _option(options, "stability", float, 0.0)
+        self.tolerance = _option(options, "tolerance", float, 1e-8)
 
     def minimize(self, f, x0) -> OptResult:
-        return _METHODS[self.name](f, x0, self.options)
-
-
-def _run_spsa(f, x0, options):
-    return spsa_minimize(
-        f,
-        x0,
-        budget=int(options.get("budget", 200)),
-        seed=int(options.get("seed", 0)),
-        perturbation=float(options.get("perturbation", SPSA_PERTURBATION)),
-        stability=float(options.get("stability", 0.0)),
-    )
-
-
-def _run_nelder_mead(f, x0, options):
-    return nelder_mead_minimize(
-        f,
-        x0,
-        budget=int(options.get("budget", 200)),
-        tolerance=float(options.get("tolerance", 1e-8)),
-    )
-
-
-_METHODS = {
-    "spsa": _run_spsa,
-    "nelder-mead": _run_nelder_mead,
-}
+        if self.name == "spsa":
+            return spsa_minimize(
+                f, x0, self.budget, self.seed, self.perturbation, self.stability
+            )
+        return nelder_mead_minimize(f, x0, budget=self.budget, tolerance=self.tolerance)
 
 
 def create_optimizer(name: str, options: dict | None = None) -> Optimizer:

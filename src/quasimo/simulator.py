@@ -12,9 +12,13 @@ Z/Y factors on those of z_mask, acts as
 On the [2]*n tensor view of the amplitudes, k ^ x_mask is the view with the
 X/Y axes reversed and each Z/Y sign negates one half-slice, so P psi takes
 one strided copy plus one in-place negation per Z/Y factor and no index
-arrays.  exp(-i*theta*P) psi = cos(theta) psi - i sin(theta) P psi.  Pauli
-strings, Pauli-sum operators, expectation values, exp(-i*theta*P) blocks and
-the X/Y/Z/Rx/Ry/Rz gates all run through this kernel.
+arrays.  exp(-i*theta*P) psi = cos(theta) psi - i sin(theta) P psi.  A
+controlled P acts only on the control = 1 half-slice and copies the rest.
+Every gate runs through this kernel: X/Y/Z are strings, Rx/Ry/Rz rotations,
+S/Sdg the empty string with phase +-i controlled by their qubit, CNOT/CZ a
+controlled X/Z, and H one sum and one difference of its qubit's two
+half-slices.  Pauli strings, Pauli-sum operators, expectation values and
+exp(-i*theta*P) blocks run through it too.
 """
 
 from dataclasses import dataclass, field
@@ -23,21 +27,12 @@ from math import cos, sin
 import numpy as np
 
 from .circuit import Circuit, Gate, PauliRotation, UnboundParametersError, WidthMismatchError
-from .pauli import PauliOperator, PauliString, TooManyQubitsError
+from .pauli import _AXIS_MATRIX, PauliOperator, PauliString, TooManyQubitsError
 
 # Dense amplitudes: 2^24 complex values is ~0.25 GB, a sane desk-scale cap.
 MAX_QUBITS = 24
 
 _SQRT2_INV = 2**-0.5
-
-_FIXED_1Q = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "Sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-}
 
 
 class NonHermitianError(ValueError):
@@ -45,13 +40,20 @@ class NonHermitianError(ValueError):
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """Dense matrix of a bound gate (2x2 or 4x4)."""
-    if gate.kind in _FIXED_1Q:
-        return _FIXED_1Q[gate.kind]
+    """Dense matrix of a bound gate (2x2 or 4x4), the reference the tests
+    check ``apply_gate`` against."""
+    if gate.kind in _PAULI_GATES:
+        return _AXIS_MATRIX[gate.kind]
+    if gate.kind == "H":
+        return np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
+    if gate.kind == "S":
+        return np.diag([1, 1j])
+    if gate.kind == "Sdg":
+        return np.diag([1, -1j])
     if gate.kind == "CNOT":
         return np.array(
             [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-        )  # basis order |t c>: control is the higher bit below
+        )  # basis order |t c>: the control is the low bit
     if gate.kind == "CZ":
         return np.diag([1, 1, 1, -1]).astype(complex)
     t = gate.angle
@@ -136,35 +138,6 @@ def bitstring(index: int, num_qubits: int) -> str:
     return "".join(str((index >> q) & 1) for q in range(num_qubits))
 
 
-def _apply_1q(amps: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    # Axis n-1-q of the [2]*n tensor corresponds to qubit q.
-    tensor = amps.reshape([2] * n)
-    moved = np.moveaxis(tensor, n - 1 - qubit, 0)
-    out = np.tensordot(matrix, moved, axes=([1], [0]))
-    return np.moveaxis(out, 0, n - 1 - qubit).reshape(-1)
-
-
-def _apply_2q(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    tensor = amps.reshape([2] * n).copy()
-    qa, qb = gate.qubits
-    axa, axb = n - 1 - qa, n - 1 - qb
-
-    def sel(va, vb):
-        idx = [slice(None)] * n
-        idx[axa], idx[axb] = va, vb
-        return tuple(idx)
-
-    if gate.kind == "CNOT":
-        tmp = tensor[sel(1, 0)].copy()
-        tensor[sel(1, 0)] = tensor[sel(1, 1)]
-        tensor[sel(1, 1)] = tmp
-    elif gate.kind == "CZ":
-        tensor[sel(1, 1)] *= -1
-    else:
-        raise ValueError(f"unknown two-qubit gate {gate.kind!r}")
-    return tensor.reshape(-1)
-
-
 _FULL = slice(None)
 _REVERSED = slice(None, None, -1)
 # The qubit-is-0 and qubit-is-1 halves of an axis.  Slices, not the indices
@@ -173,6 +146,8 @@ _HALVES = (slice(0, 1), slice(1, None))
 
 _PAULI_GATES = frozenset("XYZ")
 _ROTATION_AXIS = {"Rx": "X", "Ry": "Y", "Rz": "Z"}
+_PHASE = {"S": 1j, "Sdg": -1j}
+_CONTROLLED_AXIS = {"CNOT": "X", "CZ": "Z"}
 
 
 def _tensor_index(n: int, qubit_slices) -> tuple:
@@ -183,18 +158,38 @@ def _tensor_index(n: int, qubit_slices) -> tuple:
     return tuple(index)
 
 
-def _pauli_product(amps: np.ndarray, factors, n: int, scale: complex) -> np.ndarray:
-    """scale * P|psi> as a new flat array; ``factors`` are P's (qubit, axis) pairs."""
+def _pauli_product(amps: np.ndarray, factors, n: int, scale: complex, control=None) -> np.ndarray:
+    """scale * P|psi> as a new flat array; ``factors`` are P's (qubit, axis) pairs.
+
+    With a ``control`` qubit (not in P's support), scale * P acts only where
+    that qubit is 1 and the other half of the output is a copy.
+    """
     scale *= (-1j) ** sum(axis == "Y" for _, axis in factors)
-    flips = _tensor_index(n, ((q, _REVERSED) for q, axis in factors if axis != "Z"))
-    out = np.empty_like(amps)
+    flipped = [(q, _REVERSED) for q, axis in factors if axis != "Z"]
+    where = [] if control is None else [(control, _HALVES[1])]
+    out = np.empty_like(amps) if control is None else amps.copy()
     tensor = out.reshape([2] * n)
-    np.multiply(amps.reshape([2] * n)[flips], scale, out=tensor)
+    # A controlled Z-only string at scale 1 (CZ) leaves the copy as it is.
+    if control is None or flipped or scale != 1:
+        source = amps.reshape([2] * n)[_tensor_index(n, where + flipped)]
+        np.multiply(source, scale, out=tensor[_tensor_index(n, where)])
     for q, axis in factors:
         if axis != "X":
-            half = tensor[_tensor_index(n, ((q, _HALVES[1]),))]
+            half = tensor[_tensor_index(n, where + [(q, _HALVES[1])])]
             # Not np.negative: numpy's complex negation is several times slower.
             np.multiply(half, -1.0, out=half)
+    return out
+
+
+def _hadamard(amps: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """H on one qubit: the sum and the difference of its two half-slices, over sqrt(2)."""
+    low, high = (_tensor_index(n, ((qubit, half),)) for half in _HALVES)
+    tensor = amps.reshape([2] * n)
+    out = np.empty_like(amps)
+    result = out.reshape([2] * n)
+    np.add(tensor[low], tensor[high], out=result[low])
+    np.subtract(tensor[low], tensor[high], out=result[high])
+    out *= _SQRT2_INV
     return out
 
 
@@ -211,15 +206,17 @@ def apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     """Apply one bound gate to a flat amplitude array; returns a new array."""
     if not gate.is_bound:
         raise UnboundParametersError(f"gate {gate.dump()!r} has an unbound parameter")
-    kind = gate.kind
+    kind, qubit = gate.kind, gate.qubits[0]
     if kind in _PAULI_GATES:
-        return _pauli_product(amps, ((gate.qubits[0], kind),), n, 1.0)
+        return _pauli_product(amps, ((qubit, kind),), n, 1.0)
     if kind in _ROTATION_AXIS:
-        factors = ((gate.qubits[0], _ROTATION_AXIS[kind]),)
-        return _pauli_rotation(amps, factors, gate.angle / 2, n)
-    if len(gate.qubits) == 1:
-        return _apply_1q(amps, gate_matrix(gate), gate.qubits[0], n)
-    return _apply_2q(amps, gate, n)
+        return _pauli_rotation(amps, ((qubit, _ROTATION_AXIS[kind]),), gate.angle / 2, n)
+    if kind in _PHASE:
+        return _pauli_product(amps, (), n, _PHASE[kind], control=qubit)
+    if kind == "H":
+        return _hadamard(amps, qubit, n)
+    target = gate.qubits[1]
+    return _pauli_product(amps, ((target, _CONTROLLED_AXIS[kind]),), n, 1.0, control=qubit)
 
 
 def apply_pauli_string(amps: np.ndarray, string: PauliString, n: int) -> np.ndarray:

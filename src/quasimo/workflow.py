@@ -13,7 +13,8 @@ WorkflowResult keys by workflow:
     qite:           "exp-vals", "energy", "final-circuit-stats"
 
 For qaoa, "energy", "opt-params" and "trace" belong to the best start, while
-"evaluations" is the total over all starts.
+"evaluations" is the total over all starts.  Each workflow's ``csv_table``
+lays out its result as the CLI's CSV.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from . import ansatz
 from .circuit import Circuit, PauliRotation, cancel_adjacent_inverses
 from .costfn import CostFunctionEvaluator, EvaluatorConfig
 from .model import QuantumSimulationModel
-from .optimizer import Optimizer, create_optimizer
+from .optimizer import Optimizer, _option, create_optimizer
 from .pauli import PauliString, TooManyQubitsError
 from .simulator import StateVector, apply_operator, apply_pauli_string, run
 from .tapering import SingularSystemError
@@ -85,8 +86,8 @@ class QuantumSimulationWorkflow:
         return self
 
     def _evaluator_config(self) -> EvaluatorConfig:
-        seed = int(self.config.get("seed", 0))
-        shots = int(self.config.get("shots", 0))
+        seed = self._seed()
+        shots = _option(self.config, "shots", int, 0)
         if shots > 0:
             return EvaluatorConfig(mode="tomography", shots=shots, seed=seed)
         return EvaluatorConfig(mode="exact", seed=seed)
@@ -97,6 +98,13 @@ class QuantumSimulationWorkflow:
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
         raise NotImplementedError
 
+    def csv_table(self, result: WorkflowResult):
+        """(header, rows) of the result's CSV: ``eval,energy`` per trace entry,
+        or one row holding the energy when the result has no trace."""
+        if "trace" not in result:
+            return ["eval", "energy"], [[0, float(result["energy"])]]
+        return ["eval", "energy"], [[k, v] for k, v in result["trace"]]
+
     def validate(self, result: WorkflowResult, validation_model: QuantumValidationModel):
         """Delegate to a QuantumValidationModel: (accepted, measured distance)."""
         return validation_model.accept_results(result)
@@ -104,7 +112,7 @@ class QuantumSimulationWorkflow:
     # -- shared helpers ------------------------------------------------------
 
     def _seed(self) -> int:
-        return int(self.config.get("seed", 0))
+        return _option(self.config, "seed", int, 0)
 
     def _resolve_optimizer(self) -> Optimizer:
         value = self.config.get("optimizer")
@@ -144,36 +152,37 @@ class TimeDependentWorkflow(QuantumSimulationWorkflow):
     required_keys = frozenset({"dt", "steps"})
 
     def _check_config(self):
-        _require(float(self.config["dt"]) > 0, "config key 'dt' must be > 0")
-        _require(int(self.config["steps"]) >= 0, "config key 'steps' must be >= 0")
-        _require(
-            int(self.config.get("trotter-order", 2)) in (1, 2),
-            "config key 'trotter-order' must be 1 or 2",
-        )
+        self.dt = _option(self.config, "dt", float)
+        self.steps = _option(self.config, "steps", int)
+        self.order = _option(self.config, "trotter-order", int, 2)
+        _require(self.dt > 0, "config key 'dt' must be > 0")
+        _require(self.steps >= 0, "config key 'steps' must be >= 0")
+        _require(self.order in (1, 2), "config key 'trotter-order' must be 1 or 2")
 
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
-        dt = float(self.config["dt"])
-        steps = int(self.config["steps"])
-        order = int(self.config.get("trotter-order", 2))
         n = model.num_qubits
         prep = self._prep_circuit(model)
-        if order == 1:
-            step = ansatz.trotter_step(model.hamiltonian, dt, n)
+        if self.order == 1:
+            step = ansatz.trotter_step(model.hamiltonian, self.dt, n)
         else:
-            step = ansatz.symmetric_trotter_step(model.hamiltonian, dt, n)
+            step = ansatz.symmetric_trotter_step(model.hamiltonian, self.dt, n)
         state = run(prep)
         values = [self.evaluator.evaluate_state(state, model.observable)]
-        for _ in range(steps):
+        for _ in range(self.steps):
             state = run(step, state)
             values.append(self.evaluator.evaluate_state(state, model.observable))
-        stats = {"total": prep.num_gates + steps * step.num_gates}
+        stats = {"total": prep.num_gates + self.steps * step.num_gates}
         for kind, count in prep.gate_counts().items():
             if kind != "total":
                 stats[kind] = stats.get(kind, 0) + count
         for kind, count in step.gate_counts().items():
             if kind != "total":
-                stats[kind] = stats.get(kind, 0) + steps * count
+                stats[kind] = stats.get(kind, 0) + self.steps * count
         return WorkflowResult({"exp-vals": values, "final-circuit-stats": stats})
+
+    def csv_table(self, result: WorkflowResult):
+        rows = [[k, k * self.dt, v] for k, v in enumerate(result["exp-vals"])]
+        return ["step", "time", "exp_val"], rows
 
 
 class VqeWorkflow(QuantumSimulationWorkflow):
@@ -237,16 +246,16 @@ class QaoaWorkflow(QuantumSimulationWorkflow):
     required_keys = frozenset({"steps"})
 
     def _check_config(self):
-        _require(int(self.config["steps"]) >= 1, "config key 'steps' must be >= 1")
-        _require(int(self.config.get("starts", 10)) >= 1, "config key 'starts' must be >= 1")
+        self.steps = _option(self.config, "steps", int)
+        self.starts = _option(self.config, "starts", int, 10)
+        _require(self.steps >= 1, "config key 'steps' must be >= 1")
+        _require(self.starts >= 1, "config key 'starts' must be >= 1")
         self._resolve_optimizer()
 
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
-        p = int(self.config["steps"])
-        starts = int(self.config.get("starts", 10))
         optimizer = self._resolve_optimizer()
         n = model.num_qubits
-        circuit = ansatz.qaoa_ansatz(model.hamiltonian, p, n)
+        circuit = ansatz.qaoa_ansatz(model.hamiltonian, self.steps, n)
         observable = model.observable
 
         def objective(angles):
@@ -255,9 +264,9 @@ class QaoaWorkflow(QuantumSimulationWorkflow):
         seed = self._seed()
         best = None
         evaluations = 0
-        for start in range(starts):
+        for start in range(self.starts):
             rng = np.random.default_rng([seed, start])
-            x0 = rng.uniform(0.0, 2 * np.pi, size=2 * p)
+            x0 = rng.uniform(0.0, 2 * np.pi, size=2 * self.steps)
             opt = optimizer.minimize(objective, x0)
             evaluations += opt.evaluations_used
             if best is None or opt.best_value < best.best_value:
@@ -303,8 +312,10 @@ class QiteWorkflow(QuantumSimulationWorkflow):
     required_keys = frozenset({"steps", "step-size"})
 
     def _check_config(self):
-        _require(int(self.config["steps"]) >= 0, "config key 'steps' must be >= 0")
-        _require(float(self.config["step-size"]) > 0, "config key 'step-size' must be > 0")
+        self.steps = _option(self.config, "steps", int)
+        self.dbeta = _option(self.config, "step-size", float)
+        _require(self.steps >= 0, "config key 'steps' must be >= 0")
+        _require(self.dbeta > 0, "config key 'step-size' must be > 0")
         self._resolve_circuit_optimizer()
 
     def _resolve_circuit_optimizer(self):
@@ -326,8 +337,6 @@ class QiteWorkflow(QuantumSimulationWorkflow):
                 f"QITE uses the full 4^n Pauli basis; capped at {QITE_MAX_QUBITS} "
                 f"qubits, got {n}"
             )
-        steps = int(self.config["steps"])
-        dbeta = float(self.config["step-size"])
         optimizer_pass = self._resolve_circuit_optimizer()
         hamiltonian = model.hamiltonian
         basis = _full_pauli_basis(n)
@@ -336,9 +345,9 @@ class QiteWorkflow(QuantumSimulationWorkflow):
         state = run(circuit)
         amps = state.amplitudes
         values = [self.evaluator.evaluate_state(state, model.observable)]
-        for _ in range(steps):
-            coeffs = self._solve_step(amps, hamiltonian, basis, dbeta, n)
-            thetas = coeffs * dbeta
+        for _ in range(self.steps):
+            coeffs = self._solve_step(amps, hamiltonian, basis, self.dbeta, n)
+            thetas = coeffs * self.dbeta
             chunk = Circuit(
                 n,
                 tuple(PauliRotation(s, t) for s, t in zip(basis, thetas) if abs(t) >= 1e-12),
@@ -380,6 +389,10 @@ class QiteWorkflow(QuantumSimulationWorkflow):
         if not np.all(np.isfinite(coeffs)):
             raise SingularSystemError("QITE linear system produced non-finite update")
         return coeffs
+
+    def csv_table(self, result: WorkflowResult):
+        rows = [[k, k * self.dbeta, v] for k, v in enumerate(result["exp-vals"])]
+        return ["step", "beta", "energy"], rows
 
 
 _CIRCUIT_OPTIMIZERS = {"cancel-inverses": cancel_adjacent_inverses}

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from quasimo import workflow as workflow_mod
 from quasimo.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -167,6 +168,67 @@ def test_run_tapered_h2_vqe(tmp_path, capsys):
     assert energy == pytest.approx(-1.13727017466, abs=1e-4)
     lines = (tmp_path / "vqe.csv").read_text().splitlines()
     assert lines[0] == "eval,energy"
+
+
+class EnergyOnlyWorkflow(workflow_mod.QuantumSimulationWorkflow):
+    name = "energy-only"
+
+    def execute(self, model):
+        return workflow_mod.WorkflowResult({"energy": -1.0})
+
+
+def test_plugin_workflow_without_trace_writes_its_energy(tmp_path, monkeypatch):
+    monkeypatch.setitem(workflow_mod._REGISTRY, EnergyOnlyWorkflow.name, EnergyOnlyWorkflow)
+    config = write_config(
+        tmp_path / "cfg.json",
+        {"model": {"kind": "tfim", "num_spins": 2}, "workflow": {"name": "energy-only"}},
+    )
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+    assert (tmp_path / "energy-only.csv").read_text() == "eval,energy\n0,-1.0\n"
+
+
+def with_value(config, section, key, value):
+    config = json.loads(json.dumps(config))
+    if key is None:
+        config[section] = value
+    else:
+        config[section][key] = value
+    return config
+
+
+QITE = {
+    "model": {"kind": "tfim", "num_spins": 2},
+    "workflow": {"name": "qite", "steps": 1, "step-size": 0.1},
+}
+QAOA = {
+    "model": {"kind": "star-maxcut", "num_qubits": 3},
+    "workflow": {"name": "qaoa", "steps": 1, "optimizer": "nelder-mead", "budget": 20},
+}
+VQE = {"model": {"kind": "h2"}, "workflow": {"name": "vqe", "optimizer": "spsa", "budget": 100}}
+MALFORMED = {
+    "model": with_value(QITE, "model", None, 3),
+    "workflow": with_value(QITE, "workflow", None, "qite"),
+    "evaluator": with_value(QITE, "evaluator", None, ["shots"]),
+    "output": with_value(small_quench_config(), "output", None, "x.csv"),
+    "dt": with_value(small_quench_config(), "workflow", "dt", "abc"),
+    "steps": with_value(small_quench_config(), "workflow", "steps", "x"),
+    "trotter-order": with_value(small_quench_config(), "workflow", "trotter-order", "two"),
+    "step-size": with_value(QITE, "workflow", "step-size", None),
+    "seed": with_value(QITE, "workflow", "seed", "x"),
+    "shots": with_value(QITE, "evaluator", None, {"shots": "many"}),
+    "starts": with_value(QAOA, "workflow", "starts", "ten"),
+    "budget": with_value(QAOA, "workflow", "budget", "many"),
+    "tolerance": with_value(QAOA, "workflow", "tolerance", "tiny"),
+    "perturbation": with_value(VQE, "workflow", "perturbation", "x"),
+    "stability": with_value(VQE, "workflow", "stability", [1]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MALFORMED))
+def test_malformed_config_exits_2_naming_the_key(key, tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", MALFORMED[key])
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_list_workflows(capsys):
