@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import ansatz, model as model_mod, workflow as workflow_mod
-from .optimizer import _option
+from .optimizer import config_value
 from .tapering import auto_sector, find_z2_symmetries, taper
 from .validation import distance
 
@@ -93,7 +93,7 @@ def _effective_seed(args_seed, workflow_section: dict):
     if args_seed is not None:
         return args_seed
     if "seed" in workflow_section:
-        return _option(workflow_section, "seed", int)
+        return config_value(workflow_section, "seed", int)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         return int(env)
@@ -118,9 +118,9 @@ def _cmd_run(args) -> int:
         if unknown:
             raise ConfigError(f"unknown evaluator key '{sorted(unknown)[0]}'")
         if "shots" in evaluator_section:
-            workflow_section.setdefault("shots", _option(evaluator_section, "shots", int))
+            workflow_section.setdefault("shots", config_value(evaluator_section, "shots", int))
         if "seed" in evaluator_section:
-            workflow_section.setdefault("seed", _option(evaluator_section, "seed", int))
+            workflow_section.setdefault("seed", config_value(evaluator_section, "seed", int))
         workflow_section["seed"] = _effective_seed(args.seed, workflow_section)
         if args.shots is not None:
             workflow_section["shots"] = args.shots

@@ -181,9 +181,10 @@ def nelder_mead_minimize(f, x0, budget: int, tolerance: float = 1e-8) -> OptResu
     return tracker.result()
 
 
-def _option(options: dict, key: str, convert, default=None):
+def config_value(options: dict, key: str, convert, default=None):
     """``convert(options[key])``, or ``default`` when the key is absent; a value
-    that does not convert raises a ValueError naming the key."""
+    that does not convert raises a ValueError naming the key.  The optimizer
+    options, the workflow keys and the CLI's config keys all convert here."""
     if key not in options:
         return default
     try:
@@ -210,11 +211,11 @@ class Optimizer:
             raise ValueError(f"unknown optimizer {name!r}; known: {sorted(_NAMES)}")
         options = options or {}
         self.name = name
-        self.budget = _option(options, "budget", int, 200)
-        self.seed = _option(options, "seed", int, 0)
-        self.perturbation = _option(options, "perturbation", float, SPSA_PERTURBATION)
-        self.stability = _option(options, "stability", float, 0.0)
-        self.tolerance = _option(options, "tolerance", float, 1e-8)
+        self.budget = config_value(options, "budget", int, 200)
+        self.seed = config_value(options, "seed", int, 0)
+        self.perturbation = config_value(options, "perturbation", float, SPSA_PERTURBATION)
+        self.stability = config_value(options, "stability", float, 0.0)
+        self.tolerance = config_value(options, "tolerance", float, 1e-8)
 
     def minimize(self, f, x0) -> OptResult:
         if self.name == "spsa":

@@ -165,17 +165,24 @@ def _pauli_product(amps: np.ndarray, factors, n: int, scale: complex, control=No
     that qubit is 1 and the other half of the output is a copy.
     """
     scale *= (-1j) ** sum(axis == "Y" for _, axis in factors)
-    flipped = [(q, _REVERSED) for q, axis in factors if axis != "Z"]
-    where = [] if control is None else [(control, _HALVES[1])]
-    out = np.empty_like(amps) if control is None else amps.copy()
-    tensor = out.reshape([2] * n)
-    # A controlled Z-only string at scale 1 (CZ) leaves the copy as it is.
-    if control is None or flipped or scale != 1:
-        source = amps.reshape([2] * n)[_tensor_index(n, where + flipped)]
-        np.multiply(source, scale, out=tensor[_tensor_index(n, where)])
+    flipped = tuple((q, _REVERSED) for q, axis in factors if axis != "Z")
+    if control is None:
+        on = ()
+        out = np.empty_like(amps)
+        tensor = target = out.reshape([2] * n)
+    else:
+        on = ((control, _HALVES[1]),)
+        out = amps.copy()
+        tensor = out.reshape([2] * n)
+        target = tensor[_tensor_index(n, on)]
+    source = amps.reshape([2] * n)[_tensor_index(n, on + flipped)]
+    if scale != 1:
+        np.multiply(source, scale, out=target)
+    elif control is None or flipped:  # a controlled Z-only string at scale 1 (CZ) keeps the copy
+        np.copyto(target, source)
     for q, axis in factors:
         if axis != "X":
-            half = tensor[_tensor_index(n, where + [(q, _HALVES[1])])]
+            half = tensor[_tensor_index(n, on + ((q, _HALVES[1]),))]
             # Not np.negative: numpy's complex negation is several times slower.
             np.multiply(half, -1.0, out=half)
     return out

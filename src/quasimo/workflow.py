@@ -25,7 +25,7 @@ from . import ansatz
 from .circuit import Circuit, PauliRotation, cancel_adjacent_inverses
 from .costfn import CostFunctionEvaluator, EvaluatorConfig
 from .model import QuantumSimulationModel
-from .optimizer import Optimizer, _option, create_optimizer
+from .optimizer import Optimizer, config_value, create_optimizer
 from .pauli import PauliString, TooManyQubitsError
 from .simulator import StateVector, apply_operator, apply_pauli_string, run
 from .tapering import SingularSystemError
@@ -87,7 +87,7 @@ class QuantumSimulationWorkflow:
 
     def _evaluator_config(self) -> EvaluatorConfig:
         seed = self._seed()
-        shots = _option(self.config, "shots", int, 0)
+        shots = config_value(self.config, "shots", int, 0)
         if shots > 0:
             return EvaluatorConfig(mode="tomography", shots=shots, seed=seed)
         return EvaluatorConfig(mode="exact", seed=seed)
@@ -112,7 +112,7 @@ class QuantumSimulationWorkflow:
     # -- shared helpers ------------------------------------------------------
 
     def _seed(self) -> int:
-        return _option(self.config, "seed", int, 0)
+        return config_value(self.config, "seed", int, 0)
 
     def _resolve_optimizer(self) -> Optimizer:
         value = self.config.get("optimizer")
@@ -152,9 +152,9 @@ class TimeDependentWorkflow(QuantumSimulationWorkflow):
     required_keys = frozenset({"dt", "steps"})
 
     def _check_config(self):
-        self.dt = _option(self.config, "dt", float)
-        self.steps = _option(self.config, "steps", int)
-        self.order = _option(self.config, "trotter-order", int, 2)
+        self.dt = config_value(self.config, "dt", float)
+        self.steps = config_value(self.config, "steps", int)
+        self.order = config_value(self.config, "trotter-order", int, 2)
         _require(self.dt > 0, "config key 'dt' must be > 0")
         _require(self.steps >= 0, "config key 'steps' must be >= 0")
         _require(self.order in (1, 2), "config key 'trotter-order' must be 1 or 2")
@@ -199,12 +199,11 @@ class VqeWorkflow(QuantumSimulationWorkflow):
     required_keys = frozenset()
 
     def _check_config(self):
-        self._resolve_optimizer()
+        self.optimizer = self._resolve_optimizer()
 
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
         if model.num_params < 1:
             raise ValueError("VQE needs a parameterized ansatz (num_params >= 1)")
-        optimizer = self._resolve_optimizer()
         prep = self._prep_circuit(model)
         observable = model.observable
 
@@ -219,7 +218,7 @@ class VqeWorkflow(QuantumSimulationWorkflow):
                 f"config key 'initial-params' has {x0.size} entries, "
                 f"model needs {model.num_params}"
             )
-        opt = optimizer.minimize(objective, x0)
+        opt = self.optimizer.minimize(objective, x0)
         return WorkflowResult(
             {
                 "energy": opt.best_value,
@@ -246,14 +245,13 @@ class QaoaWorkflow(QuantumSimulationWorkflow):
     required_keys = frozenset({"steps"})
 
     def _check_config(self):
-        self.steps = _option(self.config, "steps", int)
-        self.starts = _option(self.config, "starts", int, 10)
+        self.steps = config_value(self.config, "steps", int)
+        self.starts = config_value(self.config, "starts", int, 10)
         _require(self.steps >= 1, "config key 'steps' must be >= 1")
         _require(self.starts >= 1, "config key 'starts' must be >= 1")
-        self._resolve_optimizer()
+        self.optimizer = self._resolve_optimizer()
 
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
-        optimizer = self._resolve_optimizer()
         n = model.num_qubits
         circuit = ansatz.qaoa_ansatz(model.hamiltonian, self.steps, n)
         observable = model.observable
@@ -267,7 +265,7 @@ class QaoaWorkflow(QuantumSimulationWorkflow):
         for start in range(self.starts):
             rng = np.random.default_rng([seed, start])
             x0 = rng.uniform(0.0, 2 * np.pi, size=2 * self.steps)
-            opt = optimizer.minimize(objective, x0)
+            opt = self.optimizer.minimize(objective, x0)
             evaluations += opt.evaluations_used
             if best is None or opt.best_value < best.best_value:
                 best = opt
@@ -312,11 +310,11 @@ class QiteWorkflow(QuantumSimulationWorkflow):
     required_keys = frozenset({"steps", "step-size"})
 
     def _check_config(self):
-        self.steps = _option(self.config, "steps", int)
-        self.dbeta = _option(self.config, "step-size", float)
+        self.steps = config_value(self.config, "steps", int)
+        self.dbeta = config_value(self.config, "step-size", float)
         _require(self.steps >= 0, "config key 'steps' must be >= 0")
         _require(self.dbeta > 0, "config key 'step-size' must be > 0")
-        self._resolve_circuit_optimizer()
+        self.circuit_optimizer = self._resolve_circuit_optimizer()
 
     def _resolve_circuit_optimizer(self):
         value = self.config.get("circuit-optimizer")
@@ -337,7 +335,6 @@ class QiteWorkflow(QuantumSimulationWorkflow):
                 f"QITE uses the full 4^n Pauli basis; capped at {QITE_MAX_QUBITS} "
                 f"qubits, got {n}"
             )
-        optimizer_pass = self._resolve_circuit_optimizer()
         hamiltonian = model.hamiltonian
         basis = _full_pauli_basis(n)
 
@@ -353,8 +350,8 @@ class QiteWorkflow(QuantumSimulationWorkflow):
                 tuple(PauliRotation(s, t) for s, t in zip(basis, thetas) if abs(t) >= 1e-12),
             )
             circuit = circuit.compose(chunk)
-            if optimizer_pass is not None:
-                circuit = optimizer_pass(circuit)
+            if self.circuit_optimizer is not None:
+                circuit = self.circuit_optimizer(circuit)
             amps = run(chunk, state).amplitudes
             amps = amps / np.linalg.norm(amps)
             state = StateVector(n, amps)
