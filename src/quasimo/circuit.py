@@ -34,7 +34,6 @@ GATE_KINDS = {
 
 _SELF_INVERSE = {"X", "Y", "Z", "H", "CNOT", "CZ"}
 _INVERSE_PAIR = {"S": "Sdg", "Sdg": "S"}
-_ROTATIONS = {"Rx", "Ry", "Rz"}
 
 
 class WidthMismatchError(ValueError):
@@ -342,22 +341,6 @@ def exp_pauli(theta, string: PauliString, num_qubits=None) -> Circuit:
     return Circuit(n, (block,), num_params)
 
 
-def _cancels(a: Gate, b: Gate) -> bool:
-    if a.qubits != b.qubits:
-        return False
-    if a.kind in _SELF_INVERSE:
-        return a.kind == b.kind
-    if a.kind in _INVERSE_PAIR:
-        return b.kind == _INVERSE_PAIR[a.kind]
-    if a.kind in _ROTATIONS and a.kind == b.kind:
-        if isinstance(a.angle, Param) and isinstance(b.angle, Param):
-            return a.angle.index == b.angle.index and a.angle.scale == -b.angle.scale
-        if isinstance(a.angle, Param) or isinstance(b.angle, Param):
-            return False
-        return a.angle == -b.angle
-    return False
-
-
 def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
     """Remove adjacent G, G-dagger pairs on identical qubits; unitary-preserving.
 
@@ -366,7 +349,9 @@ def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
     """
     stack = []
     for gate in circuit.gates:
-        if stack and _cancels(stack[-1], gate):
+        # The qubit test is implied by the equality; it skips building an
+        # inverse Gate for most adjacent pairs.
+        if stack and stack[-1].qubits == gate.qubits and stack[-1].inverse() == gate:
             stack.pop()
         else:
             stack.append(gate)

@@ -94,10 +94,7 @@ def _effective_seed(args_seed, workflow_section: dict):
         return args_seed
     if "seed" in workflow_section:
         return config_value(workflow_section, "seed", int)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return 0
+    return config_value(os.environ, SEED_ENV_VAR, int, 0)
 
 
 def _write_csv(path: Path, header, rows) -> None:

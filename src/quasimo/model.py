@@ -1,12 +1,14 @@
-"""Problem models: an observable, an optional distinct Hamiltonian, a
-state-preparation (or ansatz) circuit, and a parameter count, plus the
-factory and builder that assemble them."""
+"""Problem models: an observable, an optional distinct Hamiltonian and a
+state-preparation (or ansatz) circuit, plus the factory and builder that
+assemble them."""
 
+import dataclasses
 import importlib.resources
 from dataclasses import dataclass, field
 
 from . import ansatz
-from .circuit import Circuit, x
+from .circuit import Circuit, cnot, h as h_gate, x
+from .optimizer import config_value
 from .pauli import PauliOperator, X, Y, Z, parse
 
 H2_DATA_FILE = "h2_4q.op"
@@ -30,14 +32,14 @@ class QuantumSimulationModel:
 
     ``observable`` is the quantity a workflow reports; ``hamiltonian``
     drives the dynamics and defaults to the observable.  ``state_prep``
-    holds the initial-state kernel; for variational workflows it is the
-    parameterized ansatz and ``num_params`` counts its parameter slots.
+    holds the initial-state kernel (|0...0> when none is given); for
+    variational workflows it is the parameterized ansatz.  The register
+    width and the parameter count are those of ``state_prep``.
     """
 
     observable: PauliOperator
     hamiltonian: PauliOperator = None
     state_prep: Circuit = None
-    num_params: int = 0
     name: str = ""
 
     def __post_init__(self):
@@ -48,23 +50,26 @@ class QuantumSimulationModel:
         if not self.hamiltonian.is_hermitian:
             raise ValueError("hamiltonian must be Hermitian")
         operator_width = max(self.observable.width, self.hamiltonian.width)
-        if self.state_prep is not None and self.state_prep.num_qubits < operator_width:
+        prep = self.state_prep
+        if prep is None:
+            prep = Circuit(operator_width)
+        if prep.num_qubits < operator_width:
             raise ValueError(
-                f"state_prep acts on {self.state_prep.num_qubits} qubit(s) but the "
+                f"state_prep acts on {prep.num_qubits} qubit(s) but the "
                 f"operators touch qubit {operator_width - 1}"
             )
-        if self.state_prep is not None and self.state_prep.num_params != self.num_params:
-            raise ValueError(
-                f"state_prep has {self.state_prep.num_params} parameter slot(s), "
-                f"declared num_params={self.num_params}"
-            )
+        if prep.num_qubits == 0:
+            # Only constant operators get here; simulate them on one qubit.
+            prep = Circuit(1, prep.ops, prep.num_params)
+        object.__setattr__(self, "state_prep", prep)
 
     @property
     def num_qubits(self) -> int:
-        width = max(self.observable.width, self.hamiltonian.width)
-        if self.state_prep is not None:
-            width = max(width, self.state_prep.num_qubits)
-        return max(width, 1)
+        return self.state_prep.num_qubits
+
+    @property
+    def num_params(self) -> int:
+        return self.state_prep.num_params
 
 
 @dataclass
@@ -103,9 +108,13 @@ def staggered_magnetization(num_spins: int) -> PauliOperator:
     return (1.0 / num_spins) * op
 
 
+def _bits(values) -> list:
+    return [int(b) for b in values]
+
+
 def bits_prep(bits) -> Circuit:
     """X gates on every qubit whose entry is 1."""
-    bits = [int(b) for b in bits]
+    bits = _bits(bits)
     return Circuit(len(bits), tuple(x(q) for q, b in enumerate(bits) if b))
 
 
@@ -176,19 +185,12 @@ def create_star_maxcut(num_qubits: int) -> QuantumSimulationModel:
 def create_from_parts(
     state_prep: Circuit,
     observable: PauliOperator,
-    num_params: int = None,
     hamiltonian: PauliOperator = None,
     name: str = "",
 ) -> QuantumSimulationModel:
     """Package an ansatz/prep circuit with an observable directly."""
-    if num_params is None:
-        num_params = state_prep.num_params
     return QuantumSimulationModel(
-        observable=observable,
-        hamiltonian=hamiltonian,
-        state_prep=state_prep,
-        num_params=num_params,
-        name=name,
+        observable=observable, hamiltonian=hamiltonian, state_prep=state_prep, name=name
     )
 
 
@@ -218,7 +220,6 @@ class ModelBuilder:
         self._observable = None
         self._hamiltonian = None
         self._state_prep = None
-        self._num_params = None
         self._name = ""
 
     def set_observable(self, observable: PauliOperator) -> "ModelBuilder":
@@ -229,9 +230,8 @@ class ModelBuilder:
         self._hamiltonian = hamiltonian
         return self
 
-    def set_state_prep(self, circuit: Circuit, num_params: int = None) -> "ModelBuilder":
+    def set_state_prep(self, circuit: Circuit) -> "ModelBuilder":
         self._state_prep = circuit
-        self._num_params = circuit.num_params if num_params is None else num_params
         return self
 
     def set_name(self, name: str) -> "ModelBuilder":
@@ -245,85 +245,88 @@ class ModelBuilder:
             observable=self._observable,
             hamiltonian=self._hamiltonian,
             state_prep=self._state_prep,
-            num_params=self._num_params or 0,
             name=self._name,
         )
 
 
-# Factory-option keys follow the external config spelling ("Jx", "h_ext", ...).
-_HEISENBERG_KEYS = {
-    "Jx": "jx",
-    "Jy": "jy",
-    "Jz": "jz",
-    "h_ext": "h_ext",
-    "num_spins": "num_spins",
-    "initial_spins": "initial_spins",
-    "observable": "observable_name",
+def _model_options(kind: str, options: dict, spec: dict) -> dict:
+    """The options present, each converted by its ``spec`` entry (key ->
+    converter); a value that does not convert raises a ValueError naming
+    the key.
+
+    Raises:
+        UnknownModelError: a key has no entry in ``spec``.
+    """
+    for key in options:
+        if key not in spec:
+            raise UnknownModelError(f"unknown {kind} option {key!r}")
+    return {key: config_value(options, key, spec[key]) for key in options}
+
+
+# Factory-option keys follow the external config spelling ("Jx", "h_ext", ...);
+# the HeisenbergParams field of each is the key in lower case, except that
+# "observable" fills observable_name.
+_HEISENBERG_OPTIONS = {
+    "Jx": float,
+    "Jy": float,
+    "Jz": float,
+    "h_ext": float,
+    "num_spins": int,
+    "initial_spins": _bits,
+    "observable": str,
+}
+_TFIM_OPTIONS = {
+    "Jz": float,
+    "hx": float,
+    "num_spins": int,
+    "initial_spins": _bits,
+    "initial-state": str,
 }
 
 
 def _heisenberg_from_options(options: dict) -> QuantumSimulationModel:
-    kwargs = {}
-    for key, value in options.items():
-        if key not in _HEISENBERG_KEYS:
-            raise UnknownModelError(f"unknown Heisenberg option {key!r}")
-        kwargs[_HEISENBERG_KEYS[key]] = value
-    return create_heisenberg(HeisenbergParams(**kwargs))
+    values = _model_options("Heisenberg", options, _HEISENBERG_OPTIONS)
+    if "observable" in values:
+        values["observable_name"] = values.pop("observable")
+    return create_heisenberg(HeisenbergParams(**{k.lower(): v for k, v in values.items()}))
 
 
 def _tfim_from_options(options: dict) -> QuantumSimulationModel:
-    known = {"Jz", "hx", "num_spins", "initial_spins", "initial-state"}
-    unknown = set(options) - known
-    if unknown:
-        raise UnknownModelError(f"unknown TFIM option {sorted(unknown)[0]!r}")
-    m = create_tfim(
-        float(options.get("Jz", -1.0)),
-        float(options.get("hx", -1.0)),
-        int(options.get("num_spins", 3)),
-    )
-    prep = _initial_state_prep(options, m.num_qubits)
-    if prep is None:
-        return m
-    return QuantumSimulationModel(
-        observable=m.observable, state_prep=prep, name=m.name
-    )
+    values = _model_options("TFIM", options, _TFIM_OPTIONS)
+    m = create_tfim(values.get("Jz", -1.0), values.get("hx", -1.0), values.get("num_spins", 3))
+    prep = _initial_state_prep(values, m.num_qubits)
+    return m if prep is None else dataclasses.replace(m, state_prep=prep)
 
 
-def _initial_state_prep(options: dict, num_qubits: int) -> Circuit | None:
-    if "initial_spins" in options:
-        return bits_prep(options["initial_spins"])
-    if "initial-state" in options:
-        label = str(options["initial-state"])
+def _initial_state_prep(values: dict, num_qubits: int) -> Circuit | None:
+    if "initial_spins" in values:
+        return bits_prep(values["initial_spins"])
+    if "initial-state" in values:
+        label = values["initial-state"]
         if label == "ghz":
-            from .circuit import cnot, h as h_gate
-
             gates = [h_gate(0)] + [cnot(0, q) for q in range(1, num_qubits)]
             return Circuit(num_qubits, tuple(gates))
         if set(label) <= {"0", "1"}:
-            return bits_prep([int(b) for b in label])
+            return bits_prep(label)
         raise UnknownModelError(f"unknown initial-state {label!r}")
     return None
 
 
 def _star_from_options(options: dict) -> QuantumSimulationModel:
-    unknown = set(options) - {"num_qubits"}
-    if unknown:
-        raise UnknownModelError(f"unknown star-maxcut option {sorted(unknown)[0]!r}")
-    return create_star_maxcut(int(options.get("num_qubits", 2)))
+    values = _model_options("star-maxcut", options, {"num_qubits": int})
+    return create_star_maxcut(values.get("num_qubits", 2))
 
 
 def _h2_from_options(options: dict) -> QuantumSimulationModel:
-    unknown = set(options) - {"ansatz", "layers"}
-    if unknown:
-        raise UnknownModelError(f"unknown h2 option {sorted(unknown)[0]!r}")
+    values = _model_options("h2", options, {"ansatz": str, "layers": int})
     h = load_h2_hamiltonian()
-    kind = options.get("ansatz", "hardware-efficient")
+    kind = values.get("ansatz", "hardware-efficient")
     if kind != "hardware-efficient":
         raise UnknownModelError(f"unknown ansatz {kind!r}")
     # X(0), X(2) ahead of the entangler chain makes the zero-parameter point
     # the Hartree-Fock determinant |1100>, a sane variational reference.
     reference = Circuit(4, (x(0), x(2)))
-    prep = reference.compose(ansatz.hardware_efficient(4, int(options.get("layers", 1))))
+    prep = reference.compose(ansatz.hardware_efficient(4, values.get("layers", 1)))
     return create_from_parts(prep, h, name="h2")
 
 

@@ -184,14 +184,16 @@ def nelder_mead_minimize(f, x0, budget: int, tolerance: float = 1e-8) -> OptResu
 def config_value(options: dict, key: str, convert, default=None):
     """``convert(options[key])``, or ``default`` when the key is absent; a value
     that does not convert raises a ValueError naming the key.  The optimizer
-    options, the workflow keys and the CLI's config keys all convert here."""
+    options, the workflow keys, the model options and the CLI's config keys all
+    convert here."""
     if key not in options:
         return default
     try:
         return convert(options[key])
     except (TypeError, ValueError):
-        kind = "an integer" if convert is int else "a number"
-        raise ValueError(f"config key '{key}' must be {kind}, got {options[key]!r}") from None
+        kind = {int: "an integer", float: "a number"}.get(convert)
+        problem = f"must be {kind}, got" if kind else "has an invalid value"
+        raise ValueError(f"config key '{key}' {problem} {options[key]!r}") from None
 
 
 _NAMES = ("spsa", "nelder-mead")

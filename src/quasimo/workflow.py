@@ -126,16 +126,6 @@ class QuantumSimulationWorkflow:
                 options[key] = self.config[key]
         return create_optimizer(str(value), options)
 
-    @staticmethod
-    def _prep_circuit(model: QuantumSimulationModel) -> Circuit:
-        # A missing state_prep is tolerated: default |0...0>.
-        if model.state_prep is None:
-            return Circuit(model.num_qubits)
-        prep = model.state_prep
-        if prep.num_qubits < model.num_qubits:
-            prep = Circuit(model.num_qubits, prep.ops, prep.num_params)
-        return prep
-
 
 class TimeDependentWorkflow(QuantumSimulationWorkflow):
     """Trotterized real-time evolution, recording the observable after every
@@ -161,7 +151,7 @@ class TimeDependentWorkflow(QuantumSimulationWorkflow):
 
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
         n = model.num_qubits
-        prep = self._prep_circuit(model)
+        prep = model.state_prep
         if self.order == 1:
             step = ansatz.trotter_step(model.hamiltonian, self.dt, n)
         else:
@@ -204,7 +194,7 @@ class VqeWorkflow(QuantumSimulationWorkflow):
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
         if model.num_params < 1:
             raise ValueError("VQE needs a parameterized ansatz (num_params >= 1)")
-        prep = self._prep_circuit(model)
+        prep = model.state_prep
         observable = model.observable
 
         def objective(theta):
@@ -338,7 +328,7 @@ class QiteWorkflow(QuantumSimulationWorkflow):
         hamiltonian = model.hamiltonian
         basis = _full_pauli_basis(n)
 
-        circuit = self._prep_circuit(model)
+        circuit = model.state_prep
         state = run(circuit)
         amps = state.amplitudes
         values = [self.evaluator.evaluate_state(state, model.observable)]

@@ -17,6 +17,8 @@ from quasimo.circuit import (
     h,
     rx,
     rz,
+    s,
+    sdg,
 )
 from quasimo.pauli import PauliOperator, PauliString
 from quasimo.simulator import StateVector, gate_matrix, run
@@ -150,9 +152,21 @@ def test_cancel_adjacent_cnot_pair():
     assert cancel_adjacent_inverses(Circuit(2, (cnot(0, 1), cnot(0, 1)))).gates == ()
 
 
-def test_cancel_rz_opposite_angles():
-    circuit = Circuit(1, (rz(0, 0.4), rz(0, -0.4)))
-    assert cancel_adjacent_inverses(circuit).gates == ()
+@pytest.mark.parametrize(
+    "pair, cancels",
+    [
+        pytest.param((rz(0, 0.4), rz(0, -0.4)), True, id="rz-opposite-floats"),
+        pytest.param((s(0), sdg(0)), True, id="s-sdg"),
+        pytest.param((sdg(0), s(0)), True, id="sdg-s"),
+        pytest.param((rz(0, Param(0)), rz(0, -Param(0))), True, id="rz-opposite-param"),
+        pytest.param((rz(0, Param(0)), rz(0, -Param(1))), False, id="rz-other-param"),
+        pytest.param((rz(0, Param(0)), rz(0, 0.5)), False, id="rz-param-float"),
+        pytest.param((rx(0, 0.4), rz(0, -0.4)), False, id="rx-rz"),
+    ],
+)
+def test_cancel_rz_opposite_angles(pair, cancels):
+    circuit = Circuit(1, pair, 2)
+    assert cancel_adjacent_inverses(circuit).gates == (() if cancels else pair)
 
 
 def test_cancel_cascades_to_fixed_point():

@@ -221,6 +221,12 @@ MALFORMED = {
     "tolerance": with_value(QAOA, "workflow", "tolerance", "tiny"),
     "perturbation": with_value(VQE, "workflow", "perturbation", "x"),
     "stability": with_value(VQE, "workflow", "stability", [1]),
+    "Jx": with_value(small_quench_config(), "model", "Jx", "abc"),
+    "num_spins": with_value(small_quench_config(), "model", "num_spins", "x"),
+    "initial_spins": with_value(small_quench_config(), "model", "initial_spins", [1, 0, "x"]),
+    "hx": with_value(QITE, "model", "hx", "x"),
+    "num_qubits": with_value(QAOA, "model", "num_qubits", "x"),
+    "layers": with_value(VQE, "model", "layers", "x"),
 }
 
 
@@ -229,6 +235,13 @@ def test_malformed_config_exits_2_naming_the_key(key, tmp_path, capsys):
     config = write_config(tmp_path / "cfg.json", MALFORMED[key])
     assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
     assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_malformed_env_seed_exits_2_naming_the_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QUASIMO_SEED", "x")
+    config = write_config(tmp_path / "cfg.json", QITE)
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
+    assert "'QUASIMO_SEED'" in capsys.readouterr().err
 
 
 def test_list_workflows(capsys):

@@ -7,6 +7,7 @@ from quasimo.model import (
     HeisenbergParams,
     MissingObservableError,
     ModelBuilder,
+    QuantumSimulationModel,
     UnknownModelError,
     UnknownObservableError,
     bits_prep,
@@ -18,7 +19,7 @@ from quasimo.model import (
     list_models,
     load_h2_hamiltonian,
 )
-from quasimo.pauli import PauliString, X, Z, parse
+from quasimo.pauli import PauliOperator, PauliString, X, Z, parse
 from quasimo.simulator import expectation, run
 from quasimo.validation import exact_ground_energy
 
@@ -106,13 +107,13 @@ def test_factory_hamiltonians_are_hermitian_with_real_coefficients():
 
 def test_create_from_parts_tapered_h2():
     op = parse("-0.328717 + 0.181289*X(0) - 0.787967*Z(0)")
-    model = create_from_parts(rx_ry(), op, 2)
+    model = create_from_parts(rx_ry(), op)
     assert model.num_params == 2
     assert model.hamiltonian is model.observable
 
 
 def test_create_from_parts_empty_ansatz_z_observable():
-    model = create_from_parts(Circuit(1), Z(0), 0)
+    model = create_from_parts(Circuit(1), Z(0))
     assert expectation(run(model.state_prep), model.observable) == 1.0
 
 
@@ -124,7 +125,34 @@ def test_create_from_parts_h2_hardware_efficient():
 
 def test_model_width_validation():
     with pytest.raises(ValueError):
-        create_from_parts(Circuit(1), Z(3), 0)
+        create_from_parts(Circuit(1), Z(3))
+
+
+def test_zero_qubit_prep_is_rejected_under_a_qubit_observable():
+    with pytest.raises(ValueError):
+        QuantumSimulationModel(observable=Z(0), state_prep=Circuit(0))
+
+
+def test_zero_qubit_prep_widens_to_one_qubit_for_a_constant_observable():
+    model = QuantumSimulationModel(
+        observable=PauliOperator.identity(2.0), state_prep=Circuit(0)
+    )
+    assert model.state_prep == Circuit(1)
+    assert model.num_qubits == 1
+
+
+@pytest.mark.parametrize(
+    "model, width",
+    [
+        (QuantumSimulationModel(observable=Z(0)), 1),
+        (QuantumSimulationModel(observable=PauliOperator.identity(1.0)), 1),
+        (create_star_maxcut(8), 8),
+    ],
+)
+def test_model_without_prep_gets_an_empty_register_wide_circuit(model, width):
+    assert model.state_prep == Circuit(width)
+    assert model.num_qubits == width
+    assert model.num_params == 0
 
 
 def test_builder_assembles_same_model_as_factory():

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasimo.model import create_heisenberg, create_tfim, HeisenbergParams, load_h2_hamiltonian
 from quasimo.pauli import PauliOperator, PauliString, X, Z, commutator
@@ -92,6 +94,36 @@ def test_union_of_sector_spectra_h2():
 def test_union_of_sector_spectra_heisenberg_chains(n):
     h = create_heisenberg(HeisenbergParams(num_spins=n, jz=0.5)).hamiltonian
     assert np.allclose(union_of_sector_spectra(h, n), spectrum(h, n), atol=1e-10)
+
+
+@st.composite
+def planted_symmetry_operators(draw):
+    """(n, H) with n <= 4 and H built from terms commuting with 1-2 random
+    non-identity strings, so at least one Z2 symmetry is planted."""
+    n = draw(st.integers(1, 4))
+    pauli_strings = st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n).map(
+        lambda axes: PauliString({q: a for q, a in enumerate(axes) if a != "I"})
+    )
+    planted = draw(
+        st.lists(pauli_strings.filter(lambda s: not s.is_identity), min_size=1, max_size=2)
+    )
+    coefficients = st.floats(-2, 2, allow_nan=False)
+    terms = draw(st.lists(st.tuples(pauli_strings, coefficients), min_size=4, max_size=16))
+    h = PauliOperator.zero()
+    for string, coeff in terms:
+        if all(string.commutes_with(p) for p in planted):
+            h = h + coeff * PauliOperator.from_string(string)
+    return n, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_symmetry_operators())
+def test_tapering_preserves_spectra_of_planted_symmetry_operators(case):
+    n, h = case
+    assert np.allclose(union_of_sector_spectra(h, n), spectrum(h, n), atol=1e-9)
+    symmetries = find_z2_symmetries(h)
+    tapered = taper(h, symmetries, auto_sector(h, symmetries))
+    assert exact_ground_energy(tapered) == pytest.approx(spectrum(h, n)[0], abs=1e-9)
 
 
 def test_taper_zz_by_itself_gives_constant():
