@@ -32,11 +32,8 @@ class EvaluatorConfig:
             raise ValueError("tomography mode needs shots >= 1")
 
 
-def _parity_signs(num_qubits: int, support) -> np.ndarray:
+def _parity_signs(num_qubits: int, mask: int) -> np.ndarray:
     """(-1)^popcount(k & mask) for every basis index k."""
-    mask = 0
-    for q in support:
-        mask |= 1 << q
     masked = np.arange(2**num_qubits, dtype=np.uint64) & np.uint64(mask)
     return np.where(np.bitwise_count(masked) % 2 == 0, 1.0, -1.0)
 
@@ -56,7 +53,7 @@ def _tomography_state(state: StateVector, obs: PauliOperator, shots: int, seed) 
         probs = probs / probs.sum()
         rng = np.random.default_rng([seed, k])
         counts = rng.multinomial(shots, probs)
-        parity = _parity_signs(n, string.support)
+        parity = _parity_signs(n, string.x | string.z)
         total += coeff.real * float(counts @ parity) / shots
     return total
 

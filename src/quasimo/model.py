@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from . import ansatz
 from .circuit import Circuit, cnot, h as h_gate, x
-from .optimizer import config_value
+from .optimizer import as_int, config_value
 from .pauli import PauliOperator, X, Y, Z, parse
 
 H2_DATA_FILE = "h2_4q.op"
@@ -109,7 +109,7 @@ def staggered_magnetization(num_spins: int) -> PauliOperator:
 
 
 def _bits(values) -> list:
-    return [int(b) for b in values]
+    return [as_int(b) for b in values]
 
 
 def bits_prep(bits) -> Circuit:

@@ -181,16 +181,26 @@ def nelder_mead_minimize(f, x0, budget: int, tolerance: float = 1e-8) -> OptResu
     return tracker.result()
 
 
+def as_int(value) -> int:
+    """``int(value)``, except that a number int() would truncate (2.5) raises
+    a ValueError; 4, 4.0 and "4" convert."""
+    number = int(value)
+    if number != value and not isinstance(value, str):
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def config_value(options: dict, key: str, convert, default=None):
     """``convert(options[key])``, or ``default`` when the key is absent; a value
-    that does not convert raises a ValueError naming the key.  The optimizer
-    options, the workflow keys, the model options and the CLI's config keys all
-    convert here."""
+    that does not convert raises a ValueError naming the key.  ``int`` converts
+    through ``as_int``, so a non-integral number is refused, not truncated.  The
+    optimizer options, the workflow keys, the model options and the CLI's config
+    keys all convert here."""
     if key not in options:
         return default
     try:
-        return convert(options[key])
-    except (TypeError, ValueError):
+        return (as_int if convert is int else convert)(options[key])
+    except (TypeError, ValueError, OverflowError):
         kind = {int: "an integer", float: "a number"}.get(convert)
         problem = f"must be {kind}, got" if kind else "has an invalid value"
         raise ValueError(f"config key '{key}' {problem} {options[key]!r}") from None

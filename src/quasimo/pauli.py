@@ -4,6 +4,12 @@ Operators are complex-weighted sums of n-qubit Pauli strings.  Strings are
 sparse: qubits not listed carry the identity, so the same operator value can
 be used on any register wide enough to hold its support.  Qubit 0 is the
 least-significant bit everywhere in this package.
+
+Each string also carries its symplectic encoding as two int bit masks: bit q
+of ``x`` is set where qubit q carries X or Y, bit q of ``z`` where it carries
+Z or Y.  Products, commutation and the tapering module's GF(2) algebra work
+on the masks; ``to_matrix`` reads the axis letters, so the dense form stays
+an independent check.
 """
 
 import re
@@ -16,8 +22,6 @@ COEFF_EPS = 1e-12
 # to_matrix is dense; 2^12 x 2^12 complex is already ~0.25 GB.
 MAX_DENSE_QUBITS = 12
 
-_AXES = ("X", "Y", "Z")
-
 _AXIS_MATRIX = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -25,18 +29,12 @@ _AXIS_MATRIX = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Single-qubit products (a, b) -> (phase, axis); None means identity.
-_AXIS_PRODUCT = {
-    ("X", "X"): (1, None),
-    ("Y", "Y"): (1, None),
-    ("Z", "Z"): (1, None),
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Z", "Y"): (-1j, "X"),
-    ("X", "Z"): (-1j, "Y"),
-}
+# The (x, z) bits of each single-qubit factor, and back.
+_AXIS_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_BITS_AXIS = {bits: axis for axis, bits in _AXIS_BITS.items()}
+
+# i**k for k = 0..3.
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 class TooManyQubitsError(ValueError):
@@ -58,29 +56,46 @@ class ParseError(ValueError):
 class PauliString:
     """An immutable product of single-qubit X/Y/Z factors.
 
-    Internally a sorted tuple of (qubit, axis) pairs; qubits not present
-    carry the identity.  Hashable, so usable as a dict key.
+    Internally a sorted tuple of (qubit, axis) pairs plus the ``x`` and
+    ``z`` bit masks; qubits not present carry the identity.  Hashable, so
+    usable as a dict key.
     """
 
-    __slots__ = ("_factors",)
+    __slots__ = ("_factors", "x", "z")
 
     def __init__(self, axes=()):
-        if isinstance(axes, dict):
-            items = axes.items()
-        else:
-            items = tuple(axes)
-        factors = []
-        seen = set()
-        for qubit, axis in sorted(items):
+        factors = tuple(sorted(axes.items() if isinstance(axes, dict) else axes))
+        x = z = 0
+        for qubit, axis in factors:
             if not isinstance(qubit, int) or qubit < 0:
                 raise ValueError(f"qubit index must be a non-negative int, got {qubit!r}")
-            if axis not in _AXES:
+            bits = _AXIS_BITS.get(axis)
+            if bits is None:
                 raise ValueError(f"axis must be one of X, Y, Z, got {axis!r}")
-            if qubit in seen:
+            if (x | z) >> qubit & 1:
                 raise ValueError(f"duplicate qubit {qubit} in Pauli string")
-            seen.add(qubit)
-            factors.append((qubit, axis))
-        object.__setattr__(self, "_factors", tuple(factors))
+            x |= bits[0] << qubit
+            z |= bits[1] << qubit
+        self._factors = factors
+        self.x = x
+        self.z = z
+
+    @classmethod
+    def from_masks(cls, x: int, z: int) -> "PauliString":
+        """The string with X/Y on the set bits of ``x`` and Z/Y on those of ``z``."""
+        if x < 0 or z < 0:
+            raise ValueError(f"Pauli masks must be non-negative, got x={x}, z={z}")
+        factors = []
+        rest = x | z
+        while rest:
+            q = (rest & -rest).bit_length() - 1
+            factors.append((q, _BITS_AXIS[x >> q & 1, z >> q & 1]))
+            rest &= rest - 1
+        string = object.__new__(cls)
+        string._factors = tuple(factors)
+        string.x = x
+        string.z = z
+        return string
 
     @property
     def factors(self) -> tuple:
@@ -94,7 +109,7 @@ class PauliString:
     @property
     def width(self) -> int:
         """1 + highest qubit index touched (0 for the identity)."""
-        return self._factors[-1][0] + 1 if self._factors else 0
+        return (self.x | self.z).bit_length()
 
     @property
     def is_identity(self) -> bool:
@@ -107,31 +122,24 @@ class PauliString:
         return "I"
 
     def multiply(self, other: "PauliString") -> tuple:
-        """Product of two strings as (phase, string); phase in {1, -1, i, -i}."""
-        phase = 1 + 0j
-        axes = dict(self._factors)
-        for qubit, axis in other._factors:
-            mine = axes.get(qubit)
-            if mine is None:
-                axes[qubit] = axis
-                continue
-            p, res = _AXIS_PRODUCT[(mine, axis)]
-            phase *= p
-            if res is None:
-                del axes[qubit]
-            else:
-                axes[qubit] = res
-        return phase, PauliString(axes)
+        """Product of two strings as (phase, string); phase in {1, -1, i, -i}.
+
+        With Y = iXZ, a string is i^|x&z| X^x Z^z, and moving Z^z1 past X^x2
+        costs (-1)^|z1&x2|.
+        """
+        x = self.x ^ other.x
+        z = self.z ^ other.z
+        power = (
+            (self.x & self.z).bit_count()
+            + (other.x & other.z).bit_count()
+            - (x & z).bit_count()
+            + 2 * (self.z & other.x).bit_count()
+        )
+        return _I_POWERS[power % 4], PauliString.from_masks(x, z)
 
     def commutes_with(self, other: "PauliString") -> bool:
-        """True iff the strings commute (even number of clashing qubits)."""
-        other_axes = dict(other._factors)
-        clashes = sum(
-            1
-            for q, axis in self._factors
-            if q in other_axes and other_axes[q] != axis
-        )
-        return clashes % 2 == 0
+        """True iff the strings commute (even symplectic product)."""
+        return (self.x & other.z ^ self.z & other.x).bit_count() % 2 == 0
 
     def sort_key(self) -> tuple:
         return self._factors

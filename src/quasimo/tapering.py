@@ -1,18 +1,19 @@
 """Z2-symmetry detection and qubit tapering.
 
-Each Pauli string is encoded as a 2n-bit symplectic vector (x | z).  Strings
+A Pauli string on n qubits is a 2n-bit GF(2) vector held in one int: bits
+0..n-1 are its ``x`` mask and bits n..2n-1 its ``z`` mask.  Strings
 commuting with every Hamiltonian term form the kernel, over GF(2), of the
-matrix whose rows are the terms' vectors with blocks swapped.  Tapering
-conjugates the Hamiltonian with one Clifford per symmetry so the symmetry
-becomes a single-qubit X, substitutes the chosen +/-1 sector eigenvalue,
-and drops the qubit.
+matrix whose rows are the terms' vectors with the halves swapped,
+``z | x << n``.  Tapering conjugates the Hamiltonian with one Clifford per
+symmetry so the symmetry becomes a single-qubit X, substitutes the chosen
++/-1 sector eigenvalue, and drops the qubit.
 """
 
 import itertools
 
 import numpy as np
 
-from .pauli import PauliOperator, PauliString, TooManyQubitsError
+from .pauli import IndexTooLargeError, PauliOperator, PauliString, TooManyQubitsError
 
 _SQRT2_INV = 2**-0.5
 
@@ -34,60 +35,33 @@ class SingularSystemError(ValueError):
     regularized solve fails)."""
 
 
-def _symplectic(string: PauliString, n: int) -> np.ndarray:
-    vec = np.zeros(2 * n, dtype=np.uint8)
-    for q, axis in string.factors:
-        if axis in ("X", "Y"):
-            vec[q] = 1
-        if axis in ("Z", "Y"):
-            vec[n + q] = 1
-    return vec
-
-
-def _string_from_symplectic(vec: np.ndarray, n: int) -> PauliString:
-    axes = {}
-    for q in range(n):
-        x, z = vec[q], vec[n + q]
-        if x and z:
-            axes[q] = "Y"
-        elif x:
-            axes[q] = "X"
-        elif z:
-            axes[q] = "Z"
-    return PauliString(axes)
-
-
-def _gf2_kernel(matrix: np.ndarray) -> list:
-    """Kernel basis of a GF(2) matrix; Gaussian elimination with the lowest
-    usable column pivoted first, so the basis is reproducible."""
-    m = matrix.copy() % 2
-    rows, cols = m.shape
+def _gf2_kernel(rows: list, cols: int) -> list:
+    """Kernel basis of a GF(2) matrix whose rows are ints (bit c = column c);
+    Gaussian elimination with the lowest usable column pivoted first, so the
+    basis is reproducible.  Basis vectors are ints in the same layout."""
+    rows = list(rows)
     pivot_cols = []
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i, c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
         if pivot is None:
             continue
-        m[[r, pivot]] = m[[pivot, r]]
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] ^= m[r]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] >> c & 1:
+                rows[i] ^= rows[r]
         pivot_cols.append(c)
         r += 1
-        if r == rows:
+        if r == len(rows):
             break
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
     basis = []
-    for free in free_cols:
-        vec = np.zeros(cols, dtype=np.uint8)
-        vec[free] = 1
+    for free in range(cols):
+        if free in pivot_cols:
+            continue
+        vec = 1 << free
         for row, pc in enumerate(pivot_cols):
-            if m[row, free]:
-                vec[pc] = 1
+            if rows[row] >> free & 1:
+                vec |= 1 << pc
         basis.append(vec)
     return basis
 
@@ -100,20 +74,23 @@ def find_z2_symmetries(hamiltonian: PauliOperator, num_qubits: int = None) -> li
     contain anticommuting pairs, e.g. all-X and all-Z on an odd chain,
     which cannot be tapered jointly).  Deterministic for a given operator;
     empty if no symmetry exists.
+
+    Raises:
+        IndexTooLargeError: a term touches a qubit >= num_qubits.
     """
     n = hamiltonian.width if num_qubits is None else num_qubits
+    if hamiltonian.width > n:
+        raise IndexTooLargeError(
+            f"operator touches qubit {hamiltonian.width - 1} but num_qubits is {n}"
+        )
     strings = [s for s, _ in hamiltonian.terms() if not s.is_identity]
     if n == 0 or not strings:
         return []
-    # Row blocks swapped: row . (x_g | z_g) = symplectic product with the term.
-    rows = []
-    for s in strings:
-        v = _symplectic(s, n)
-        rows.append(np.concatenate([v[n:], v[:n]]))
-    basis = _gf2_kernel(np.array(rows, dtype=np.uint8))
+    # Halves swapped: row . (x_g | z_g) = symplectic product with the term.
+    rows = [s.z | s.x << n for s in strings]
     symmetries = []
-    for vec in basis:
-        candidate = _string_from_symplectic(vec, n)
+    for vec in _gf2_kernel(rows, 2 * n):
+        candidate = PauliString.from_masks(vec & ((1 << n) - 1), vec >> n)
         if candidate.is_identity:
             continue
         if all(candidate.commutes_with(kept) for kept in symmetries):

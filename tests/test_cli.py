@@ -237,6 +237,41 @@ def test_malformed_config_exits_2_naming_the_key(key, tmp_path, capsys):
     assert f"'{key}'" in capsys.readouterr().err
 
 
+HEISENBERG_2 = {
+    "model": {"kind": "heisenberg", "num_spins": 2},
+    "workflow": {"name": "time-dependent", "dt": 0.05, "steps": 2},
+}
+NON_INTEGRAL = [
+    ("num_spins", 2.5, with_value(HEISENBERG_2, "model", "num_spins", 2.5)),
+    ("steps", 2.5, with_value(HEISENBERG_2, "workflow", "steps", 2.5)),
+    ("steps", "inf", with_value(HEISENBERG_2, "workflow", "steps", float("inf"))),
+    ("budget", 99.9, with_value(QAOA, "workflow", "budget", 99.9)),
+    ("starts", 1.5, with_value(QAOA, "workflow", "starts", 1.5)),
+    ("shots", 10.5, with_value(QITE, "evaluator", None, {"shots": 10.5})),
+    ("initial_spins", 0.7, with_value(HEISENBERG_2, "model", "initial_spins", [0.7, 1])),
+]
+
+
+@pytest.mark.parametrize(
+    "key, config",
+    [pytest.param(key, config, id=f"{key}={value}") for key, value, config in NON_INTEGRAL],
+)
+def test_non_integral_integer_option_exits_2_naming_the_key(key, config, tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", config)
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_integral_float_and_string_spellings_still_convert(tmp_path):
+    config = with_value(HEISENBERG_2, "model", "num_spins", 2.0)
+    config = with_value(config, "model", "initial_spins", [1.0, "0"])
+    config = write_config(tmp_path / "cfg.json", with_value(config, "workflow", "steps", "2"))
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+    lines = (tmp_path / "time-dependent.csv").read_text().splitlines()
+    assert len(lines) == 4  # header + steps + 1
+    assert float(lines[1].split(",")[2]) == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_malformed_env_seed_exits_2_naming_the_variable(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QUASIMO_SEED", "x")
     config = write_config(tmp_path / "cfg.json", QITE)

@@ -130,6 +130,43 @@ def test_simplify_prunes_small_coefficients():
     assert op.coefficient(PauliString({0: "X"})) == 0.5
 
 
+# Strings on n <= 5 qubits, Y drawn twice as often as X or Z: Y is the
+# factor that sets both mask bits and carries the i in the product phase.
+pauli_strings = st.dictionaries(st.integers(0, 4), st.sampled_from("XYYZ")).map(PauliString)
+
+
+def dense(string):
+    return PauliOperator.from_string(string).to_matrix(5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pauli_strings, pauli_strings)
+def test_mask_encoding_matches_dense_oracle(a, b):
+    ab, ba = dense(a) @ dense(b), dense(b) @ dense(a)
+    phase, product = a.multiply(b)
+    assert np.array_equal(phase * dense(product), ab)
+    assert a.commutes_with(b) == np.array_equal(ab, ba)
+    rebuilt = PauliString.from_masks(a.x, a.z)
+    assert rebuilt == a and rebuilt.factors == a.factors
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [{-1: "X"}, {1.0: "X"}, {0: "W"}, [(0, "X"), (0, "Z")], [(2, "Z"), (2, "Z")]],
+    ids=["negative-qubit", "float-qubit", "unknown-axis", "duplicate-qubit", "repeated-z"],
+)
+def test_pauli_string_rejects_malformed_factors(axes):
+    with pytest.raises(ValueError):
+        PauliString(axes)
+
+
+def test_from_masks_rejects_negative_masks():
+    with pytest.raises(ValueError):
+        PauliString.from_masks(-1, 0)
+    with pytest.raises(ValueError):
+        PauliString.from_masks(0, -1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_multiply_associative_and_distributive_against_dense(seed):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasimo.model import create_heisenberg, create_tfim, HeisenbergParams, load_h2_hamiltonian
-from quasimo.pauli import PauliOperator, PauliString, X, Z, commutator
+from quasimo.pauli import IndexTooLargeError, PauliOperator, PauliString, X, Z, commutator
 from quasimo.tapering import (
     NotASymmetryError,
     SectorArityMismatchError,
@@ -78,6 +78,31 @@ def test_h2_tapered_coefficient_magnitudes_match_reference_shape():
     tapered = taper(h2, symmetries, auto_sector(h2, symmetries))
     magnitudes = sorted(abs(c) for _, c in tapered.terms())
     assert magnitudes == pytest.approx([0.181289, 0.328717, 0.787967], abs=5e-6)
+
+
+def test_h2_symmetry_selection_is_pinned():
+    h2 = load_h2_hamiltonian()
+    symmetries = find_z2_symmetries(h2)
+    assert [str(s) for s in symmetries] == ["Z(0)*Z(1)", "Z(0)*Z(2)", "Z(0)*Z(3)"]
+    sector = auto_sector(h2, symmetries)
+    assert sector == [1, -1, -1]
+    assert str(taper(h2, symmetries, sector)) == (
+        "-0.32871702820831256 + 0.18128880823111088*X(0) + 0.7879673585544115*Z(0)"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        # The odd chain's kernel holds the anticommuting all-X and all-Z
+        # strings; the elimination's pivot order decides which is kept.
+        (5, ["X(0)*X(1)*X(2)*X(3)*X(4)"]),
+        (4, ["X(0)*X(1)*X(2)*X(3)", "Z(0)*Z(1)*Z(2)*Z(3)"]),
+    ],
+)
+def test_heisenberg_symmetry_selection_is_pinned(n, expected):
+    h = create_heisenberg(HeisenbergParams(num_spins=n)).hamiltonian
+    assert [str(s) for s in find_z2_symmetries(h)] == expected
 
 
 def test_union_of_sector_spectra_tfim3():
@@ -152,6 +177,11 @@ def test_auto_sector_tie_breaks_to_plus_one():
 
 def test_auto_sector_no_symmetries_gives_empty_signs():
     assert auto_sector(X(0) + Z(0), []) == []
+
+
+def test_find_z2_symmetries_rejects_a_register_narrower_than_the_operator():
+    with pytest.raises(IndexTooLargeError):
+        find_z2_symmetries(Z(0) * Z(3) + X(3) + X(1), 2)
 
 
 def test_taper_rejects_non_symmetry():
