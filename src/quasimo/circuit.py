@@ -311,8 +311,8 @@ def cz(a, b):
 def basis_change_gates(string: PauliString) -> tuple:
     """Gates rotating each factor of ``string`` into the Z basis.
 
-    H for an X factor; Sdg then H for a Y factor.  Used both by exp_pauli
-    and by the sampled-tomography evaluator.
+    H for an X factor; Sdg then H for a Y factor.  Used by the gate
+    expansion of an exp_pauli block (``PauliRotation.gates``).
     """
     gates = []
     for q, axis in string.factors:

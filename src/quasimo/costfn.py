@@ -1,60 +1,48 @@
 """Cost-function evaluation: exact expectation values or sampled partial
-tomography with per-term change-of-basis measurements."""
+tomography, which measures each non-identity term P on its own.  The even
+outcomes of ``shots`` +/-1 parity shots are Binomial(shots, p_even), p_even =
+||psi + P psi||^2 / (||psi + P psi||^2 + ||psi - P psi||^2) = (1 + <P>)/2, so
+each term is one binomial draw, estimated as (2*hits - shots)/shots."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, basis_change_gates
+from .circuit import Circuit, WidthMismatchError
 from .pauli import PauliOperator
-from .simulator import NonHermitianError, StateVector, apply_gate, expectation, run
-
-MODES = ("exact", "tomography")
+from .simulator import NonHermitianError, StateVector, apply_pauli_string, expectation, run
 
 
 @dataclass(frozen=True)
 class EvaluatorConfig:
     """How to turn (state, observable) into a number.
 
-    ``shots`` is the per-term budget in tomography mode.  ``seed`` makes
-    sampling deterministic; term k of a given evaluation draws from the
-    PCG64 stream seeded with (seed, k).
+    ``shots == 0`` is exact; ``shots >= 1`` is the per-term tomography budget.
+    ``seed`` makes sampling deterministic; term k of a given evaluation draws
+    from the PCG64 stream seeded with (seed, k).
     """
 
-    mode: str = "exact"
     shots: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "tomography" and self.shots < 1:
-            raise ValueError("tomography mode needs shots >= 1")
-
-
-def _parity_signs(num_qubits: int, mask: int) -> np.ndarray:
-    """(-1)^popcount(k & mask) for every basis index k."""
-    masked = np.arange(2**num_qubits, dtype=np.uint64) & np.uint64(mask)
-    return np.where(np.bitwise_count(masked) % 2 == 0, 1.0, -1.0)
+        if self.shots < 0:
+            raise ValueError(f"evaluator 'shots' must be >= 0, got {self.shots!r}")
 
 
 def _tomography_state(state: StateVector, obs: PauliOperator, shots: int, seed) -> float:
-    n = state.num_qubits
+    amps, n = state.amplitudes, state.num_qubits
     total = 0.0
     for k, (string, coeff) in enumerate(obs.terms()):
         if string.is_identity:
             # Constants are never measured.
             total += coeff.real
             continue
-        amps = state.amplitudes
-        for gate in basis_change_gates(string):
-            amps = apply_gate(amps, gate, n)
-        probs = np.abs(amps) ** 2
-        probs = probs / probs.sum()
-        rng = np.random.default_rng([seed, k])
-        counts = rng.multinomial(shots, probs)
-        parity = _parity_signs(n, string.x | string.z)
-        total += coeff.real * float(counts @ parity) / shots
+        flipped = apply_pauli_string(amps, string, n)
+        plus, minus = amps + flipped, amps - flipped
+        even, odd = np.vdot(plus, plus).real, np.vdot(minus, minus).real
+        hits = np.random.default_rng([seed, k]).binomial(shots, even / (even + odd))
+        total += coeff.real * (2 * hits - shots) / shots
     return total
 
 
@@ -62,19 +50,18 @@ def evaluate_state(state: StateVector, obs: PauliOperator, cfg: EvaluatorConfig)
     """Expectation of ``obs`` in a prepared state, per the evaluator config."""
     if not obs.is_hermitian:
         raise NonHermitianError("cost evaluation requires a Hermitian observable")
-    if cfg.mode == "exact":
+    if obs.width > state.num_qubits:
+        raise WidthMismatchError(
+            f"operator touches qubit {obs.width - 1} on a {state.num_qubits}-qubit state"
+        )
+    if cfg.shots == 0:
         return expectation(state, obs)
     return _tomography_state(state, obs, cfg.shots, cfg.seed)
 
 
 def evaluate(prep: Circuit, obs: PauliOperator, cfg: EvaluatorConfig) -> float:
-    """Run a fully bound state-prep circuit and evaluate ``obs``.
-
-    Exact mode computes <psi|obs|psi> from the statevector.  Tomography mode
-    appends each term's change-of-basis gates, samples ``cfg.shots``
-    bitstrings, and averages the +/-1 parity over the term's support;
-    constant terms are added analytically.
-    """
+    """Run a fully bound state-prep circuit, padded to ``obs``'s width, and
+    evaluate ``obs``; constant terms are exact in either mode."""
     width = max(prep.num_qubits, obs.width)
     if width > prep.num_qubits:
         prep = Circuit(width, prep.ops, prep.num_params)

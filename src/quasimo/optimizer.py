@@ -5,6 +5,7 @@ trace, and report the best point ever evaluated, so the reported value can
 never be worse than any point actually visited.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,10 @@ SPSA_TARGET_FIRST_STEP = 2 * np.pi / 10
 
 class BudgetTooSmallError(ValueError):
     """The evaluation budget cannot cover the method's minimum cost."""
+
+
+class NonFiniteObjectiveError(ValueError):
+    """The objective returned NaN or an infinity."""
 
 
 @dataclass
@@ -47,6 +52,8 @@ class _Tracker:
         if self.count >= self.budget:
             raise _Budget
         value = float(self.f(np.asarray(x, dtype=float)))
+        if not math.isfinite(value):
+            raise NonFiniteObjectiveError(f"objective evaluation {self.count} returned {value!r}")
         self.trace.append((self.count, value))
         self.count += 1
         if value < self.best_value:
@@ -193,15 +200,18 @@ def as_int(value) -> int:
 def config_value(options: dict, key: str, convert, default=None):
     """``convert(options[key])``, or ``default`` when the key is absent; a value
     that does not convert raises a ValueError naming the key.  ``int`` converts
-    through ``as_int``, so a non-integral number is refused, not truncated.  The
-    optimizer options, the workflow keys, the model options and the CLI's config
-    keys all convert here."""
+    through ``as_int``, so a non-integral number is refused, not truncated; a
+    ``float`` key refuses NaN and the infinities.  The optimizer options, the
+    workflow keys, the model options and the CLI's config keys all convert here."""
     if key not in options:
         return default
     try:
-        return (as_int if convert is int else convert)(options[key])
+        value = (as_int if convert is int else convert)(options[key])
+        if convert is float and not math.isfinite(value):
+            raise ValueError
+        return value
     except (TypeError, ValueError, OverflowError):
-        kind = {int: "an integer", float: "a number"}.get(convert)
+        kind = {int: "an integer", float: "a finite number"}.get(convert)
         problem = f"must be {kind}, got" if kind else "has an invalid value"
         raise ValueError(f"config key '{key}' {problem} {options[key]!r}") from None
 

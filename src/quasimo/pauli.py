@@ -12,6 +12,7 @@ on the masks; ``to_matrix`` reads the axis letters, so the dense form stays
 an independent check.
 """
 
+import cmath
 import re
 
 import numpy as np
@@ -166,8 +167,9 @@ class PauliOperator:
     """A complex-weighted sum of Pauli strings.
 
     Values are immutable after construction and always kept simplified:
-    coefficients with magnitude below ``COEFF_EPS`` are dropped.  The empty
-    string holds scalar/constant offsets.
+    coefficients with magnitude below ``COEFF_EPS`` are dropped, and a
+    non-finite coefficient raises a ValueError.  The empty string holds
+    scalar/constant offsets.
     """
 
     __slots__ = ("_terms",)
@@ -180,6 +182,9 @@ class PauliOperator:
                 if not isinstance(string, PauliString):
                     raise TypeError(f"term keys must be PauliString, got {type(string).__name__}")
                 merged[string] = merged.get(string, 0j) + complex(coeff)
+        for string, coeff in merged.items():
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"coefficient of {string} is not finite: {coeff!r}")
         pruned = {s: c for s, c in merged.items() if abs(c) >= COEFF_EPS}
         object.__setattr__(self, "_terms", pruned)
 

@@ -81,16 +81,10 @@ class QuantumSimulationWorkflow:
             if key not in config:
                 raise BadConfigError(f"workflow '{self.name}' requires config key '{key}'")
         self.config = config
-        self.evaluator = CostFunctionEvaluator(self._evaluator_config())
+        shots = config_value(config, "shots", int, 0)
+        self.evaluator = CostFunctionEvaluator(EvaluatorConfig(shots, self._seed()))
         self._check_config()
         return self
-
-    def _evaluator_config(self) -> EvaluatorConfig:
-        seed = self._seed()
-        shots = config_value(self.config, "shots", int, 0)
-        if shots > 0:
-            return EvaluatorConfig(mode="tomography", shots=shots, seed=seed)
-        return EvaluatorConfig(mode="exact", seed=seed)
 
     def _check_config(self):
         pass
@@ -284,8 +278,9 @@ class QiteWorkflow(QuantumSimulationWorkflow):
     """Imaginary-time evolution by per-step unitary fits.
 
     At each step the target state e^{-dbeta*H}|psi>, normalized to first
-    order via c = 1 - 2*dbeta*<H> (a step with c <= 0 raises
-    QiteNormalizationError), is matched by a unitary generated over
+    order via c = 1 - 2*dbeta*<H> (by design, a step with c <= 0, where dbeta
+    is too large for that expansion, raises QiteNormalizationError rather
+    than fall back to the exact norm), is matched by a unitary generated over
     the full non-identity Pauli basis: solve
     (S + S^T + lambda*I) a = 2*Im<psi|P_I H|psi> / sqrt(c),
     with S_IJ = <psi|P_I P_J|psi>, then append exp(-i*a_I*dbeta*P_I) in

@@ -204,7 +204,7 @@ def test_criterion_8_tomography_convergence(rng):
         observable = random_hermitian(3, 5, rng)
         exact = evaluate(prep, observable, EvaluatorConfig())
         estimate = evaluate(
-            prep, observable, EvaluatorConfig("tomography", shots=shots, seed=trial)
+            prep, observable, EvaluatorConfig(shots=shots, seed=trial)
         )
         bound = 4 * sum(abs(c) for s, c in observable.terms() if not s.is_identity)
         bound /= np.sqrt(shots)

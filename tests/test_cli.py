@@ -204,6 +204,10 @@ QAOA = {
     "model": {"kind": "star-maxcut", "num_qubits": 3},
     "workflow": {"name": "qaoa", "steps": 1, "optimizer": "nelder-mead", "budget": 20},
 }
+HEISENBERG_2 = {
+    "model": {"kind": "heisenberg", "num_spins": 2},
+    "workflow": {"name": "time-dependent", "dt": 0.05, "steps": 2},
+}
 VQE = {"model": {"kind": "h2"}, "workflow": {"name": "vqe", "optimizer": "spsa", "budget": 100}}
 MALFORMED = {
     "model": with_value(QITE, "model", None, 3),
@@ -228,19 +232,53 @@ MALFORMED = {
     "num_qubits": with_value(QAOA, "model", "num_qubits", "x"),
     "layers": with_value(VQE, "model", "layers", "x"),
 }
+# (case id, key, config): every float key with NaN and Infinity, which Python's
+# json reads as floats, and a negative shot count in either section.
+MALFORMED_VALUES = [
+    (f"{key}={value}", key, with_value(config, section, key, value))
+    for section, key, config in [
+        ("workflow", "dt", HEISENBERG_2),
+        ("workflow", "step-size", QITE),
+        ("workflow", "perturbation", VQE),
+        ("workflow", "stability", VQE),
+        ("workflow", "tolerance", QAOA),
+        ("model", "Jx", HEISENBERG_2),
+        ("model", "Jy", HEISENBERG_2),
+        ("model", "Jz", HEISENBERG_2),
+        ("model", "h_ext", HEISENBERG_2),
+        ("model", "hx", QITE),
+    ]
+    for value in (float("nan"), float("inf"))
+] + [
+    (f"tfim-Jz={value}", "Jz", with_value(QITE, "model", "Jz", value))
+    for value in (float("nan"), float("inf"))
+] + [
+    ("hx='nan'", "hx", with_value(QITE, "model", "hx", "nan")),
+    ("workflow-shots=-5", "shots", with_value(QITE, "workflow", "shots", -5)),
+    ("evaluator-shots=-5", "shots", with_value(QITE, "evaluator", None, {"shots": -5})),
+]
 
 
-@pytest.mark.parametrize("key", sorted(MALFORMED))
-def test_malformed_config_exits_2_naming_the_key(key, tmp_path, capsys):
-    config = write_config(tmp_path / "cfg.json", MALFORMED[key])
+@pytest.mark.parametrize(
+    "key, config",
+    [pytest.param(key, config, id=key) for key, config in sorted(MALFORMED.items())]
+    + [pytest.param(key, config, id=case) for case, key, config in MALFORMED_VALUES],
+)
+def test_malformed_config_exits_2_naming_the_key(key, config, tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", config)
     assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
     assert f"'{key}'" in capsys.readouterr().err
 
 
-HEISENBERG_2 = {
-    "model": {"kind": "heisenberg", "num_spins": 2},
-    "workflow": {"name": "time-dependent", "dt": 0.05, "steps": 2},
-}
+@pytest.mark.parametrize("optimizer", ["spsa", "nelder-mead"])
+def test_nan_initial_params_name_the_evaluation(optimizer, tmp_path, capsys):
+    config = with_value(VQE, "workflow", "optimizer", optimizer)
+    config = with_value(config, "workflow", "initial-params", [float("nan")] + [0.0] * 7)
+    config = write_config(tmp_path / "cfg.json", config)
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 3
+    assert "objective evaluation 0 returned nan" in capsys.readouterr().err
+
+
 NON_INTEGRAL = [
     ("num_spins", 2.5, with_value(HEISENBERG_2, "model", "num_spins", 2.5)),
     ("steps", 2.5, with_value(HEISENBERG_2, "workflow", "steps", 2.5)),

@@ -6,6 +6,7 @@ from quasimo.ansatz import rx_ry
 from quasimo.costfn import EvaluatorConfig, evaluate
 from quasimo.optimizer import (
     BudgetTooSmallError,
+    NonFiniteObjectiveError,
     create_optimizer,
     nelder_mead_minimize,
     spsa_minimize,
@@ -106,3 +107,25 @@ def test_both_reach_1q_landscape_minimum(name):
 def test_unknown_optimizer_name():
     with pytest.raises(ValueError):
         create_optimizer("adam")
+
+
+@pytest.mark.parametrize("name", ["spsa", "nelder-mead"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_objective_raises_naming_the_evaluation(name, bad):
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return bad if len(calls) == 4 else quadratic(x)
+
+    opt = create_optimizer(name, {"budget": 150, "seed": 2})
+    with pytest.raises(NonFiniteObjectiveError, match=rf"evaluation 3 returned {bad!r}"):
+        opt.minimize(objective, np.array([3.0]))
+
+
+@pytest.mark.parametrize("name", ["spsa", "nelder-mead"])
+def test_nan_start_raises_at_the_first_evaluation(name):
+    objective, _ = reduced_h2_objective()
+    opt = create_optimizer(name, {"budget": 200, "seed": 1})
+    with pytest.raises(NonFiniteObjectiveError, match="evaluation 0 returned nan"):
+        opt.minimize(objective, np.array([np.nan, 0.0]))

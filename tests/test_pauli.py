@@ -130,6 +130,23 @@ def test_simplify_prunes_small_coefficients():
     assert op.coefficient(PauliString({0: "X"})) == 0.5
 
 
+NON_FINITE = [float("nan"), float("inf"), -float("inf"), complex(0, float("nan"))]
+
+
+@pytest.mark.parametrize("coeff", NON_FINITE)
+def test_operator_rejects_non_finite_coefficient(coeff):
+    with pytest.raises(ValueError, match="not finite"):
+        PauliOperator({PauliString({0: "Z"}): coeff})
+    with pytest.raises(ValueError, match="not finite"):
+        coeff * Z(0)
+
+
+@pytest.mark.parametrize("text", ["(nan+0j)*Z(0) + X(1)", "X(1) - (inf+0j)", "1e999*Z(0)*Z(1)"])
+def test_parse_rejects_non_finite_coefficient(text):
+    with pytest.raises(ValueError, match="not finite"):
+        parse(text)
+
+
 # Strings on n <= 5 qubits, Y drawn twice as often as X or Z: Y is the
 # factor that sets both mask bits and carries the i in the product phase.
 pauli_strings = st.dictionaries(st.integers(0, 4), st.sampled_from("XYYZ")).map(PauliString)
