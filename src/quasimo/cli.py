@@ -62,6 +62,12 @@ def _load_config(path: str) -> dict:
     for section, value in config.items():
         if not isinstance(value, dict):
             raise ConfigError(f"config section '{section}' must be a JSON object")
+    output = config.get("output", {})
+    unknown = set(output) - {"csv"}
+    if unknown:
+        raise ConfigError(f"unknown output key '{sorted(unknown)[0]}'")
+    if "csv" in output and not (isinstance(output["csv"], str) and output["csv"]):
+        raise ConfigError(f"output key 'csv' must be a non-empty file name, got {output['csv']!r}")
     return config
 
 

@@ -12,12 +12,16 @@ from .circuit import Circuit, WidthMismatchError
 from .pauli import PauliOperator
 from .simulator import NonHermitianError, StateVector, apply_pauli_string, expectation, run
 
+# numpy's binomial takes an int64 trial count: 2**63 - 1 draws, 2**63 overflows.
+MAX_SHOTS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class EvaluatorConfig:
     """How to turn (state, observable) into a number.
 
-    ``shots == 0`` is exact; ``shots >= 1`` is the per-term tomography budget.
+    ``shots == 0`` is exact; ``1 <= shots <= MAX_SHOTS`` is the per-term
+    tomography budget.
     ``seed`` makes sampling deterministic; term k of a given evaluation draws
     from the PCG64 stream seeded with (seed, k).
     """
@@ -26,8 +30,8 @@ class EvaluatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.shots < 0:
-            raise ValueError(f"evaluator 'shots' must be >= 0, got {self.shots!r}")
+        if not 0 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"evaluator 'shots' must be in [0, 2**63 - 1], got {self.shots!r}")
 
 
 def _tomography_state(state: StateVector, obs: PauliOperator, shots: int, seed) -> float:

@@ -217,6 +217,7 @@ def config_value(options: dict, key: str, convert, default=None):
 
 
 _NAMES = ("spsa", "nelder-mead")
+OPTION_KEYS = frozenset({"budget", "seed", "perturbation", "stability", "tolerance"})
 
 
 class Optimizer:
@@ -224,14 +225,19 @@ class Optimizer:
 
     Options (all optional): ``budget`` (default 200), ``seed``,
     ``perturbation`` and ``stability`` (SPSA), ``tolerance`` (Nelder-Mead).
-    An unknown name or an option value that does not convert raises a
-    ValueError.
+    An unknown name, an unknown option key or an option value that does not
+    convert raises a ValueError.
     """
 
     def __init__(self, name: str, options: dict | None = None):
         if name not in _NAMES:
             raise ValueError(f"unknown optimizer {name!r}; known: {sorted(_NAMES)}")
         options = options or {}
+        unknown = sorted(set(options) - OPTION_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unknown optimizer option '{unknown[0]}'; known: {sorted(OPTION_KEYS)}"
+            )
         self.name = name
         self.budget = config_value(options, "budget", int, 200)
         self.seed = config_value(options, "seed", int, 0)

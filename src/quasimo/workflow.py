@@ -3,8 +3,11 @@
 Workflows are configured with a string-keyed option map (the external
 spelling: "dt", "steps", "step-size", "optimizer", "shots", "seed",
 "starts", "circuit-optimizer"), execute against a QuantumSimulationModel,
-and return a WorkflowResult.  Instances are single-use; independent
-executions may run concurrently.
+and return a WorkflowResult.  Every key is read and converted once, at
+``initialize``, so a malformed value raises BadConfigError or a ValueError
+naming the key before anything runs; ``execute`` only checks what needs the
+model (the length of "initial-params").  Instances are single-use;
+independent executions may run concurrently.
 
 WorkflowResult keys by workflow:
     time-dependent: "exp-vals", "final-circuit-stats"
@@ -12,8 +15,9 @@ WorkflowResult keys by workflow:
     qaoa:           "energy", "opt-params", "trace", "evaluations"
     qite:           "exp-vals", "energy", "final-circuit-stats"
 
-For qaoa, "energy", "opt-params" and "trace" belong to the best start, while
-"evaluations" is the total over all starts.  Each workflow's ``csv_table``
+vqe and qaoa share one driver, ``_minimize``: for qaoa, "energy",
+"opt-params" and "trace" belong to the best start, while "evaluations" is
+the total over all starts.  Each workflow's ``csv_table``
 lays out its result as the CLI's CSV.
 """
 
@@ -25,7 +29,7 @@ from . import ansatz
 from .circuit import Circuit, PauliRotation, cancel_adjacent_inverses
 from .costfn import CostFunctionEvaluator, EvaluatorConfig
 from .model import QuantumSimulationModel
-from .optimizer import Optimizer, config_value, create_optimizer
+from .optimizer import OPTION_KEYS, Optimizer, config_value, create_optimizer
 from .pauli import PauliString, TooManyQubitsError
 from .simulator import StateVector, apply_operator, apply_pauli_string, run
 from .tapering import SingularSystemError
@@ -33,6 +37,8 @@ from .validation import QuantumValidationModel
 
 QITE_MAX_QUBITS = 5
 QITE_REGULARIZATION = 1e-8
+# Workflow keys handed to a named optimizer; "seed" also seeds the evaluator.
+OPTIMIZER_KEYS = OPTION_KEYS - {"seed"}
 
 
 class UnknownWorkflowError(KeyError):
@@ -60,6 +66,15 @@ def _require(condition, message):
         raise BadConfigError(message)
 
 
+def _finite_vector(value) -> np.ndarray:
+    """A number or a flat list of numbers as a 1-d float array; anything else,
+    or a NaN or infinite entry, raises a ValueError."""
+    vector = np.array(value, dtype=float, ndmin=1)
+    if vector.ndim != 1 or not np.isfinite(vector).all():
+        raise ValueError
+    return vector
+
+
 class QuantumSimulationWorkflow:
     """Base workflow: validate config at initialize, compute at execute."""
 
@@ -81,8 +96,9 @@ class QuantumSimulationWorkflow:
             if key not in config:
                 raise BadConfigError(f"workflow '{self.name}' requires config key '{key}'")
         self.config = config
+        self.seed = config_value(config, "seed", int, 0)
         shots = config_value(config, "shots", int, 0)
-        self.evaluator = CostFunctionEvaluator(EvaluatorConfig(shots, self._seed()))
+        self.evaluator = CostFunctionEvaluator(EvaluatorConfig(shots, self.seed))
         self._check_config()
         return self
 
@@ -105,20 +121,44 @@ class QuantumSimulationWorkflow:
 
     # -- shared helpers ------------------------------------------------------
 
-    def _seed(self) -> int:
-        return config_value(self.config, "seed", int, 0)
-
     def _resolve_optimizer(self) -> Optimizer:
         value = self.config.get("optimizer")
         if value is None:
             raise NoOptimizerError(f"workflow '{self.name}' requires config key 'optimizer'")
+        options = {key: self.config[key] for key in sorted(OPTIMIZER_KEYS & self.config.keys())}
         if isinstance(value, Optimizer):
+            if options:
+                raise BadConfigError(
+                    f"config key '{next(iter(options))}' cannot be set beside an "
+                    "Optimizer instance; pass it to the Optimizer instead"
+                )
             return value
-        options = {"seed": self._seed()}
-        for key in ("budget", "tolerance", "perturbation", "stability"):
-            if key in self.config:
-                options[key] = self.config[key]
-        return create_optimizer(str(value), options)
+        return create_optimizer(str(value), {"seed": self.seed, **options})
+
+    def _minimize(self, circuit: Circuit, observable, starts) -> WorkflowResult:
+        """Minimize ``observable``'s expectation over ``circuit``'s parameters,
+        running the optimizer from each start in order.  "energy", "opt-params"
+        and "trace" come from the best start (the earliest on a tie);
+        "evaluations" is the total over all starts."""
+
+        def objective(theta):
+            return self.evaluator.evaluate(circuit.bind_parameters(theta), observable)
+
+        best = None
+        evaluations = 0
+        for x0 in starts:
+            opt = self.optimizer.minimize(objective, x0)
+            evaluations += opt.evaluations_used
+            if best is None or opt.best_value < best.best_value:
+                best = opt
+        return WorkflowResult(
+            {
+                "energy": best.best_value,
+                "opt-params": list(best.best_params),
+                "trace": best.trace,
+                "evaluations": evaluations,
+            }
+        )
 
 
 class TimeDependentWorkflow(QuantumSimulationWorkflow):
@@ -172,60 +212,46 @@ class TimeDependentWorkflow(QuantumSimulationWorkflow):
 class VqeWorkflow(QuantumSimulationWorkflow):
     """Variational minimization of the observable's expectation value.
 
-    Config: "optimizer" (name or Optimizer instance, required), "budget",
-    "tolerance", "initial-params" (defaults to all zeros).
+    Config: "optimizer" (name or Optimizer instance, required); "budget",
+    "tolerance", "perturbation" and "stability" (passed to a named optimizer;
+    refused beside an instance); "initial-params" (a number or a flat list of
+    finite numbers, one per ansatz parameter; defaults to all zeros).
     """
 
     name = "vqe"
-    allowed_keys = frozenset(
-        {"optimizer", "budget", "tolerance", "perturbation", "stability", "initial-params"}
-    )
+    allowed_keys = frozenset({"optimizer", "initial-params"}) | OPTIMIZER_KEYS
     required_keys = frozenset()
 
     def _check_config(self):
         self.optimizer = self._resolve_optimizer()
+        self.initial_params = config_value(self.config, "initial-params", _finite_vector)
 
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
         if model.num_params < 1:
             raise ValueError("VQE needs a parameterized ansatz (num_params >= 1)")
-        prep = model.state_prep
-        observable = model.observable
-
-        def objective(theta):
-            return self.evaluator.evaluate(prep.bind_parameters(theta), observable)
-
-        x0 = np.asarray(
-            self.config.get("initial-params", np.zeros(model.num_params)), dtype=float
-        )
+        x0 = self.initial_params
+        if x0 is None:
+            x0 = np.zeros(model.num_params)
         if x0.size != model.num_params:
             raise BadConfigError(
                 f"config key 'initial-params' has {x0.size} entries, "
                 f"model needs {model.num_params}"
             )
-        opt = self.optimizer.minimize(objective, x0)
-        return WorkflowResult(
-            {
-                "energy": opt.best_value,
-                "opt-params": list(opt.best_params),
-                "trace": opt.trace,
-                "evaluations": opt.evaluations_used,
-            }
-        )
+        return self._minimize(model.state_prep, model.observable, [x0])
 
 
 class QaoaWorkflow(QuantumSimulationWorkflow):
     """QAOA over the model's cost Hamiltonian with a transverse-field mixer.
 
     Config: "steps" (p >= 1, required), "optimizer" (required), "starts"
-    (default 10), "budget", "tolerance".  Each start draws uniform initial
-    angles in [0, 2*pi)^(2p) from the seeded generator; the reported energy
-    is the smallest over starts.
+    (default 10); "budget", "tolerance", "perturbation" and "stability" as
+    for vqe.  Start s draws uniform initial angles in [0, 2*pi)^(2p) from the
+    generator seeded with (seed, s); the reported energy is the smallest over
+    starts.
     """
 
     name = "qaoa"
-    allowed_keys = frozenset(
-        {"steps", "optimizer", "starts", "budget", "tolerance", "perturbation", "stability"}
-    )
+    allowed_keys = frozenset({"steps", "optimizer", "starts"}) | OPTIMIZER_KEYS
     required_keys = frozenset({"steps"})
 
     def _check_config(self):
@@ -236,31 +262,12 @@ class QaoaWorkflow(QuantumSimulationWorkflow):
         self.optimizer = self._resolve_optimizer()
 
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
-        n = model.num_qubits
-        circuit = ansatz.qaoa_ansatz(model.hamiltonian, self.steps, n)
-        observable = model.observable
-
-        def objective(angles):
-            return self.evaluator.evaluate(circuit.bind_parameters(angles), observable)
-
-        seed = self._seed()
-        best = None
-        evaluations = 0
-        for start in range(self.starts):
-            rng = np.random.default_rng([seed, start])
-            x0 = rng.uniform(0.0, 2 * np.pi, size=2 * self.steps)
-            opt = self.optimizer.minimize(objective, x0)
-            evaluations += opt.evaluations_used
-            if best is None or opt.best_value < best.best_value:
-                best = opt
-        return WorkflowResult(
-            {
-                "energy": best.best_value,
-                "opt-params": list(best.best_params),
-                "trace": best.trace,
-                "evaluations": evaluations,
-            }
+        circuit = ansatz.qaoa_ansatz(model.hamiltonian, self.steps, model.num_qubits)
+        starts = (
+            np.random.default_rng([self.seed, s]).uniform(0.0, 2 * np.pi, size=2 * self.steps)
+            for s in range(self.starts)
         )
+        return self._minimize(circuit, model.observable, starts)
 
 
 def _full_pauli_basis(n: int) -> list:

@@ -214,6 +214,8 @@ MALFORMED = {
     "workflow": with_value(QITE, "workflow", None, "qite"),
     "evaluator": with_value(QITE, "evaluator", None, ["shots"]),
     "output": with_value(small_quench_config(), "output", None, "x.csv"),
+    "file": with_value(small_quench_config(), "output", None, {"file": "x.csv"}),
+    "csv": with_value(small_quench_config(), "output", "csv", 5),
     "dt": with_value(small_quench_config(), "workflow", "dt", "abc"),
     "steps": with_value(small_quench_config(), "workflow", "steps", "x"),
     "trotter-order": with_value(small_quench_config(), "workflow", "trotter-order", "two"),
@@ -233,7 +235,8 @@ MALFORMED = {
     "layers": with_value(VQE, "model", "layers", "x"),
 }
 # (case id, key, config): every float key with NaN and Infinity, which Python's
-# json reads as floats, and a negative shot count in either section.
+# json reads as floats, a shot count out of range in either section, an empty
+# CSV name and each malformed shape of "initial-params".
 MALFORMED_VALUES = [
     (f"{key}={value}", key, with_value(config, section, key, value))
     for section, key, config in [
@@ -256,6 +259,19 @@ MALFORMED_VALUES = [
     ("hx='nan'", "hx", with_value(QITE, "model", "hx", "nan")),
     ("workflow-shots=-5", "shots", with_value(QITE, "workflow", "shots", -5)),
     ("evaluator-shots=-5", "shots", with_value(QITE, "evaluator", None, {"shots": -5})),
+    ("workflow-shots=1e30", "shots", with_value(QITE, "workflow", "shots", 1e30)),
+    ("evaluator-shots=1e30", "shots", with_value(QITE, "evaluator", None, {"shots": 1e30})),
+    ("csv=''", "csv", with_value(small_quench_config(), "output", "csv", "")),
+] + [
+    (f"initial-params={label}", "initial-params",
+     with_value(VQE, "workflow", "initial-params", value))
+    for label, value in [
+        ("abc", "abc"),
+        ("nested", [[1, 2]]),
+        ("a,0..", ["a"] + [0] * 7),
+        ("nan,0..", [float("nan")] + [0] * 7),
+        ("inf,0..", [float("inf")] + [0] * 7),
+    ]
 ]
 
 
@@ -270,13 +286,24 @@ def test_malformed_config_exits_2_naming_the_key(key, config, tmp_path, capsys):
     assert f"'{key}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("optimizer", ["spsa", "nelder-mead"])
-def test_nan_initial_params_name_the_evaluation(optimizer, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "optimizer, evaluator",
+    [
+        pytest.param("spsa", {}, id="spsa"),
+        pytest.param("nelder-mead", {}, id="nelder-mead"),
+        # Unchecked, a sampled NaN start would reach numpy's binomial as a NaN p_even.
+        pytest.param("spsa", {"shots": 100}, id="spsa-shots"),
+    ],
+)
+def test_nan_initial_params_name_the_evaluation(optimizer, evaluator, tmp_path, capsys):
+    # A NaN start is refused at initialize, before any objective is evaluated;
+    # the optimizer's own non-finite check is covered in test_optimizer.py.
     config = with_value(VQE, "workflow", "optimizer", optimizer)
     config = with_value(config, "workflow", "initial-params", [float("nan")] + [0.0] * 7)
+    config = with_value(config, "evaluator", None, evaluator)
     config = write_config(tmp_path / "cfg.json", config)
-    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 3
-    assert "objective evaluation 0 returned nan" in capsys.readouterr().err
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
+    assert "'initial-params'" in capsys.readouterr().err
 
 
 NON_INTEGRAL = [

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasimo.circuit import Circuit, WidthMismatchError, basis_change_gates, h, rx, ry, x
-from quasimo.costfn import CostFunctionEvaluator, EvaluatorConfig, evaluate, evaluate_state
+from quasimo.costfn import (
+    MAX_SHOTS,
+    CostFunctionEvaluator,
+    EvaluatorConfig,
+    evaluate,
+    evaluate_state,
+)
 from quasimo.model import bits_prep, staggered_magnetization
 from quasimo.pauli import PauliOperator, PauliString, X, Y, Z
 from quasimo.simulator import NonHermitianError, StateVector, expectation, gate_matrix, run
@@ -85,8 +91,11 @@ def test_rejects_unbound_prep():
 
 def test_evaluator_config_validation():
     assert [f.name for f in dataclasses.fields(EvaluatorConfig)] == ["shots", "seed"]
-    with pytest.raises(ValueError, match="'shots'"):
-        EvaluatorConfig(shots=-1)
+    for shots in (-1, MAX_SHOTS + 1):
+        with pytest.raises(ValueError, match="'shots'"):
+            EvaluatorConfig(shots=shots)
+    # The largest count numpy's binomial accepts still draws.
+    assert evaluate(Circuit(1), Z(0), EvaluatorConfig(shots=MAX_SHOTS)) == 1.0
     # shots == 0 is the exact evaluator, on any state and any seed.
     prep = Circuit(1, (rx(0, 0.7),))
     value = evaluate(prep, Z(0), EvaluatorConfig(shots=0, seed=5))

@@ -109,6 +109,11 @@ def test_unknown_optimizer_name():
         create_optimizer("adam")
 
 
+def test_unknown_option_key_names_the_key():
+    with pytest.raises(ValueError, match="'budgte'"):
+        create_optimizer("spsa", {"budgte": 10})
+
+
 @pytest.mark.parametrize("name", ["spsa", "nelder-mead"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_objective_raises_naming_the_evaluation(name, bad):

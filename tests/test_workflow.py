@@ -14,7 +14,7 @@ from quasimo.model import (
     create_star_maxcut,
     create_tfim,
 )
-from quasimo.optimizer import Optimizer, nelder_mead_minimize
+from quasimo.optimizer import Optimizer, create_optimizer, nelder_mead_minimize
 from quasimo.pauli import PauliOperator, TooManyQubitsError, X, Z, parse
 from quasimo.validation import CriteriaValidationModel, ValidationCriteria, exact_ground_energy
 from quasimo.workflow import (
@@ -177,8 +177,6 @@ def test_vqe_energy_respects_variational_bound():
 
 
 def test_vqe_accepts_optimizer_instance():
-    from quasimo.optimizer import create_optimizer
-
     op = parse("0.787967*Z(0)")
     model = create_from_parts(rx_ry(), op)
     flow = get_workflow(
@@ -186,6 +184,24 @@ def test_vqe_accepts_optimizer_instance():
         {"optimizer": create_optimizer("nelder-mead", {"budget": 150, "tolerance": 1e-12})},
     )
     assert flow.execute(model)["energy"] == pytest.approx(-0.787967, abs=1e-4)
+
+
+@pytest.mark.parametrize("key", ["budget", "tolerance", "perturbation", "stability"])
+def test_optimizer_option_beside_an_instance_names_the_key(key):
+    with pytest.raises(BadConfigError, match=f"'{key}'"):
+        get_workflow("vqe", {"optimizer": create_optimizer("spsa", {"budget": 30}), key: 5})
+
+
+def test_vqe_initial_params_convert_at_initialize():
+    model = create_from_parts(rx_ry(), parse("0.3*X(0) - 0.8*Z(0)"))
+    config = {"optimizer": "nelder-mead", "budget": 30}
+    strings = get_workflow("vqe", {**config, "initial-params": ["0.1", 0.2]})
+    numbers = get_workflow("vqe", {**config, "initial-params": [0.1, 0.2]})
+    assert strings.execute(model) == numbers.execute(model)
+    # A bare number is a one-entry vector; the length is checked against the model.
+    bare = get_workflow("vqe", {**config, "initial-params": 0.3})
+    with pytest.raises(BadConfigError, match="'initial-params' has 1 entries, model needs 2"):
+        bare.execute(model)
 
 
 # -- qaoa ----------------------------------------------------------------------
@@ -350,6 +366,64 @@ def test_qaoa_evaluations_total_all_starts():
     assert len(optimizer.per_start) == 4
     assert result["evaluations"] == sum(optimizer.per_start)
     assert result["evaluations"] > max(optimizer.per_start)
+
+
+def inline_minimize(optimizer, circuit, observable, cfg, starts):
+    """The variational loop written out: one objective, each start in order,
+    the earliest best start kept, evaluations summed."""
+
+    def objective(theta):
+        return evaluate(circuit.bind_parameters(theta), observable, cfg)
+
+    best, evaluations = None, 0
+    for x0 in starts:
+        opt = optimizer.minimize(objective, x0)
+        evaluations += opt.evaluations_used
+        if best is None or opt.best_value < best.best_value:
+            best = opt
+    return {
+        "energy": best.best_value,
+        "opt-params": list(best.best_params),
+        "trace": best.trace,
+        "evaluations": evaluations,
+    }
+
+
+def test_qaoa_and_vqe_match_the_inline_loop():
+    model = create_star_maxcut(4)
+    flow = get_workflow(
+        "qaoa", {"steps": 1, "optimizer": "nelder-mead", "starts": 3, "seed": 6, "budget": 80}
+    )
+    starts = [np.random.default_rng([6, s]).uniform(0.0, 2 * np.pi, size=2) for s in range(3)]
+    expected = inline_minimize(
+        create_optimizer("nelder-mead", {"budget": 80, "seed": 6}),
+        qaoa_ansatz(model.hamiltonian, 1, 4),
+        model.observable,
+        EvaluatorConfig(),
+        starts,
+    )
+    assert flow.execute(model) == expected
+
+    model = create_model("h2", {})
+    x0 = np.linspace(-0.2, 0.2, model.num_params)
+    flow = get_workflow(
+        "vqe",
+        {
+            "optimizer": "spsa",
+            "budget": 90,
+            "seed": 4,
+            "shots": 500,
+            "initial-params": x0.tolist(),
+        },
+    )
+    expected = inline_minimize(
+        create_optimizer("spsa", {"budget": 90, "seed": 4}),
+        model.state_prep,
+        model.observable,
+        EvaluatorConfig(500, 4),
+        [x0],
+    )
+    assert flow.execute(model) == expected
 
 
 def test_qite_rejects_non_positive_norm_factor():
