@@ -25,7 +25,7 @@ from .model import (
 )
 from .optimizer import OptResult, create_optimizer, nelder_mead_minimize, spsa_minimize
 from .pauli import PauliOperator, PauliString, X, Y, Z, commutator, parse
-from .simulator import ShotResult, StateVector, expectation, run, sample
+from .simulator import Program, ShotResult, StateVector, compile_circuit, expectation, run, sample
 from .tapering import auto_sector, find_z2_symmetries, taper
 from .validation import (
     ValidationCriteria,
@@ -55,6 +55,7 @@ __all__ = [
     "PauliRotation",
     "PauliOperator",
     "PauliString",
+    "Program",
     "QuantumSimulationModel",
     "QuantumSimulationWorkflow",
     "ShotResult",
@@ -68,6 +69,7 @@ __all__ = [
     "auto_sector",
     "cancel_adjacent_inverses",
     "commutator",
+    "compile_circuit",
     "create_from_parts",
     "create_heisenberg",
     "create_model",

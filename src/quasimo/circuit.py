@@ -349,10 +349,25 @@ def cancel_adjacent_inverses(circuit: Circuit) -> Circuit:
     """
     stack = []
     for gate in circuit.gates:
-        # The qubit test is implied by the equality; it skips building an
-        # inverse Gate for most adjacent pairs.
-        if stack and stack[-1].qubits == gate.qubits and stack[-1].inverse() == gate:
+        if stack and _cancels(stack[-1], gate):
             stack.pop()
         else:
             stack.append(gate)
     return Circuit(circuit.num_qubits, tuple(stack), circuit.num_params)
+
+
+def _cancels(first: Gate, second: Gate) -> bool:
+    """``first.inverse() == second``, decided without building a Gate."""
+    if first.qubits != second.qubits:
+        return False
+    kind = first.kind
+    if kind in _SELF_INVERSE:
+        return second.kind == kind
+    if kind in _INVERSE_PAIR:
+        return second.kind == _INVERSE_PAIR[kind]
+    if second.kind != kind:
+        return False
+    a, b = first.angle, second.angle
+    if isinstance(a, Param):
+        return isinstance(b, Param) and a.index == b.index and -a.scale == b.scale
+    return not isinstance(b, Param) and -a == b

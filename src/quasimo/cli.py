@@ -66,8 +66,11 @@ def _load_config(path: str) -> dict:
     unknown = set(output) - {"csv"}
     if unknown:
         raise ConfigError(f"unknown output key '{sorted(unknown)[0]}'")
-    if "csv" in output and not (isinstance(output["csv"], str) and output["csv"]):
-        raise ConfigError(f"output key 'csv' must be a non-empty file name, got {output['csv']!r}")
+    if "csv" in output:
+        name = output["csv"]
+        # Path("..").name is "..", and Path("").name is "".
+        if not (isinstance(name, str) and Path(name).name == name and name not in ("", "..")):
+            raise ConfigError(f"output key 'csv' must be a bare file name, got {name!r}")
     return config
 
 
@@ -129,6 +132,7 @@ def _cmd_run(args) -> int:
             workflow_section["shots"] = args.shots
         built = _build_model(config["model"])
         flow = workflow_mod.get_workflow(name, workflow_section)
+        flow.check_model(built)
     except (workflow_mod.UnknownWorkflowError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

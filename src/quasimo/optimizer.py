@@ -65,6 +65,12 @@ class _Tracker:
         return OptResult(self.best_params, self.best_value, self.trace, self.count)
 
 
+def spsa_min_budget(dim: int) -> int:
+    """Smallest SPSA budget over ``dim`` parameters: the calibration probes
+    plus one iteration."""
+    return 2 * dim + 2 * SPSA_CALIBRATION_PROBES
+
+
 def spsa_minimize(
     f,
     x0,
@@ -88,9 +94,10 @@ def spsa_minimize(
     x = np.asarray(x0, dtype=float).copy()
     dim = x.size
     calibration_cost = 2 * SPSA_CALIBRATION_PROBES
-    if budget < 2 * dim + calibration_cost:
+    needed = spsa_min_budget(dim)
+    if budget < needed:
         raise BudgetTooSmallError(
-            f"SPSA needs at least {2 * dim + calibration_cost} evaluations "
+            f"SPSA needs at least {needed} evaluations "
             f"({calibration_cost} calibration + one iteration), got {budget}"
         )
     rng = np.random.default_rng(seed)
@@ -244,6 +251,10 @@ class Optimizer:
         self.perturbation = config_value(options, "perturbation", float, SPSA_PERTURBATION)
         self.stability = config_value(options, "stability", float, 0.0)
         self.tolerance = config_value(options, "tolerance", float, 1e-8)
+
+    def min_budget(self, dim: int) -> int:
+        """Smallest budget this method accepts over ``dim`` parameters."""
+        return spsa_min_budget(dim) if self.name == "spsa" else 1
 
     def minimize(self, f, x0) -> OptResult:
         if self.name == "spsa":

@@ -19,6 +19,16 @@ S/Sdg the empty string with phase +-i controlled by their qubit, CNOT/CZ a
 controlled X/Z, and H one sum and one difference of its qubit's two
 half-slices.  Pauli strings, Pauli-sum operators, expectation values and
 exp(-i*theta*P) blocks run through it too.
+
+Compiled programs: ``compile_circuit`` turns a bound circuit that runs many
+times (the time-dependent workflow's Trotter step) into a Program.  Each
+maximal run of two or more adjacent ops whose joint support is at most two
+qubits becomes one FusedBlock, the product of the ops' 2x2/4x4 matrices in
+program order; it writes each quarter-slice (half-slice for one qubit) of the
+new state from the matrix row's nonzero entries.  Every other op stays a
+kernel step, run through the same per-op dispatch as ``run``.  Only bound
+circuits compile; variational circuits, whose angles are Param slots, and
+one-off circuits go through ``run``.
 """
 
 from dataclasses import dataclass, field
@@ -243,8 +253,32 @@ def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
     return out
 
 
+def _execute(ops, n: int, initial) -> StateVector:
+    """Apply ``ops`` (circuit ops and FusedBlocks) in order to a copy of the
+    initial state."""
+    if initial is None:
+        state = StateVector.zero(n)
+    elif isinstance(initial, StateVector):
+        if initial.num_qubits != n:
+            raise WidthMismatchError(
+                f"{initial.num_qubits}-qubit state fed to a {n}-qubit circuit"
+            )
+        state = initial.copy()
+    else:
+        state = StateVector.basis(n, int(initial))
+    amps = state.amplitudes
+    for op in ops:
+        if isinstance(op, FusedBlock):
+            amps = op.apply(amps)
+        elif isinstance(op, PauliRotation):
+            _pauli_rotation(amps, op.string.factors, op.angle, n, out=amps)
+        else:
+            amps = apply_gate(amps, op, n)
+    return StateVector(n, amps)
+
+
 def run(circuit: Circuit, initial=None) -> StateVector:
-    """Execute a fully bound circuit.
+    """Execute a fully bound circuit, op by op.
 
     ``initial`` may be None (all-zeros state), a basis-state index, or a
     StateVector of matching width.
@@ -257,24 +291,131 @@ def run(circuit: Circuit, initial=None) -> StateVector:
         raise UnboundParametersError(
             f"circuit has {circuit.num_params} unbound parameter(s); bind first"
         )
+    return _execute(circuit.ops, circuit.num_qubits, initial)
+
+
+def _op_matrix(op, support: tuple) -> np.ndarray:
+    """Matrix of a bound op on the qubits of ``support`` (a superset of its
+    own), whose i-th qubit is bit i of the matrix index."""
+    dim = 1 << len(support)
+    bit = {q: 1 << i for i, q in enumerate(support)}
+    if isinstance(op, PauliRotation):
+        x = sum(bit[q] for q in support if op.string.x >> q & 1)
+        z = sum(bit[q] for q in support if op.string.z >> q & 1)
+        # exp(-i*theta*P) = cos(theta) - i sin(theta) P, P as in the kernel.
+        scale = -1j * sin(op.angle) * (-1j) ** (x & z).bit_count()
+        matrix = np.eye(dim, dtype=complex) * cos(op.angle)
+        for k in range(dim):
+            matrix[k, k ^ x] += scale * (-1) ** (k & z).bit_count()
+        return matrix
+    small = gate_matrix(op)
+    bits = [bit[q] for q in op.qubits]
+    rest = dim - 1 - sum(bits)
+
+    def local(k):  # index of basis state k in the gate's own basis
+        return sum(1 << i for i, b in enumerate(bits) if k & b)
+
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        for j in range(dim):
+            if not (k ^ j) & rest:
+                matrix[k, j] = small[local(k), local(j)]
+    return matrix
+
+
+class FusedBlock:
+    """A run of adjacent ops on at most two of an n-qubit register's qubits,
+    as one small unitary.
+
+    ``qubits`` is the run's support, ascending; its i-th qubit is bit i of
+    the matrix index.  Applying the block writes each of the 2^m quarter-slices
+    (half-slices for one qubit) of a new state as the sum of the matrix row's
+    nonzero entries times the input's slices.
+    """
+
+    __slots__ = ("qubits", "matrix", "_shape", "_parts", "_rows")
+
+    def __init__(self, qubits: tuple, matrix: np.ndarray, n: int):
+        self.qubits = qubits
+        self.matrix = matrix
+        self._shape = [2] * n
+        self._parts = [
+            _tensor_index(n, tuple((q, _HALVES[k >> i & 1]) for i, q in enumerate(qubits)))
+            for k in range(len(matrix))
+        ]
+        self._rows = [
+            [(int(j), complex(row[j])) for j in np.flatnonzero(row)] for row in matrix
+        ]
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """The block applied to a flat n-qubit amplitude array, as a new array."""
+        source = amps.reshape(self._shape)
+        out = np.empty_like(amps)
+        result = out.reshape(self._shape)
+        scratch = None
+        for part, row in zip(self._parts, self._rows):
+            target = result[part]
+            (j, coeff), *rest = row
+            np.multiply(source[self._parts[j]], coeff, out=target)
+            for j, coeff in rest:
+                if scratch is None:
+                    scratch = np.empty_like(target)
+                np.multiply(source[self._parts[j]], coeff, out=scratch)
+                target += scratch
+        return out
+
+
+@dataclass(frozen=True)
+class Program:
+    """A bound circuit compiled for repeated runs (see ``compile_circuit``)."""
+
+    num_qubits: int
+    steps: tuple  # circuit ops and FusedBlocks, in program order
+
+    def run(self, initial=None) -> StateVector:
+        """Same contract as ``run(circuit, initial)``."""
+        return _execute(self.steps, self.num_qubits, initial)
+
+
+def compile_circuit(circuit: Circuit) -> Program:
+    """Compile a bound circuit once for many runs.
+
+    Walks the ops once and folds every maximal run of two or more adjacent
+    ops whose joint support is at most two qubits into one FusedBlock, the
+    product of the ops' matrices in program order.  Nothing is reordered, so
+    the program is the circuit's unitary up to rounding; every other op stays
+    a kernel step.
+
+    Raises:
+        UnboundParametersError: the circuit still has symbolic parameters.
+    """
+    if not circuit.is_bound:
+        raise UnboundParametersError(
+            f"circuit has {circuit.num_params} unbound parameter(s); bind first"
+        )
     n = circuit.num_qubits
-    if initial is None:
-        state = StateVector.zero(n)
-    elif isinstance(initial, StateVector):
-        if initial.num_qubits != n:
-            raise WidthMismatchError(
-                f"{initial.num_qubits}-qubit state fed to a {n}-qubit circuit"
-            )
-        state = initial.copy()
-    else:
-        state = StateVector.basis(n, int(initial))
-    amps = state.amplitudes
+    steps = []
+    group, support = [], set()
+
+    def close():
+        if len(group) == 1:
+            steps.append(group[0])
+        elif group:
+            qubits = tuple(sorted(support))
+            matrix = np.eye(1 << len(qubits), dtype=complex)
+            for op in group:
+                matrix = _op_matrix(op, qubits) @ matrix
+            steps.append(FusedBlock(qubits, matrix, n))
+
     for op in circuit.ops:
-        if isinstance(op, PauliRotation):
-            _pauli_rotation(amps, op.string.factors, op.angle, n, out=amps)
-        else:
-            amps = apply_gate(amps, op, n)
-    return StateVector(n, amps)
+        joint = support.union(op.qubits)
+        if len(joint) > 2:
+            close()
+            group, joint = [], set(op.qubits)
+        group.append(op)
+        support = joint
+    close()
+    return Program(n, tuple(steps))
 
 
 def expectation(state: StateVector, op: PauliOperator) -> float:

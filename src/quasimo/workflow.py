@@ -5,9 +5,11 @@ spelling: "dt", "steps", "step-size", "optimizer", "shots", "seed",
 "starts", "circuit-optimizer"), execute against a QuantumSimulationModel,
 and return a WorkflowResult.  Every key is read and converted once, at
 ``initialize``, so a malformed value raises BadConfigError or a ValueError
-naming the key before anything runs; ``execute`` only checks what needs the
-model (the length of "initial-params").  Instances are single-use;
-independent executions may run concurrently.
+naming the key before anything runs.  What needs the model (the length of
+"initial-params", the smallest "budget" the optimizer accepts over the
+ansatz's parameters, QITE's width cap) is checked by ``check_model``, which
+the CLI calls before ``execute`` and ``execute`` calls again.  Instances are
+single-use; independent executions may run concurrently.
 
 WorkflowResult keys by workflow:
     time-dependent: "exp-vals", "final-circuit-stats"
@@ -31,7 +33,7 @@ from .costfn import CostFunctionEvaluator, EvaluatorConfig
 from .model import QuantumSimulationModel
 from .optimizer import OPTION_KEYS, Optimizer, config_value, create_optimizer
 from .pauli import PauliString, TooManyQubitsError
-from .simulator import StateVector, apply_operator, apply_pauli_string, run
+from .simulator import StateVector, apply_operator, apply_pauli_string, compile_circuit, run
 from .tapering import SingularSystemError
 from .validation import QuantumValidationModel
 
@@ -105,6 +107,10 @@ class QuantumSimulationWorkflow:
     def _check_config(self):
         pass
 
+    def check_model(self, model: QuantumSimulationModel) -> None:
+        """Check the config against ``model``; raises a ValueError naming the
+        key (or the model's defect) before anything runs."""
+
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
         raise NotImplementedError
 
@@ -134,6 +140,14 @@ class QuantumSimulationWorkflow:
                 )
             return value
         return create_optimizer(str(value), {"seed": self.seed, **options})
+
+    def _check_budget(self, dim: int):
+        needed = self.optimizer.min_budget(dim)
+        _require(
+            self.optimizer.budget >= needed,
+            f"config key 'budget' is {self.optimizer.budget}; {self.optimizer.name} "
+            f"over {dim} parameter(s) needs at least {needed}",
+        )
 
     def _minimize(self, circuit: Circuit, observable, starts) -> WorkflowResult:
         """Minimize ``observable``'s expectation over ``circuit``'s parameters,
@@ -190,10 +204,11 @@ class TimeDependentWorkflow(QuantumSimulationWorkflow):
             step = ansatz.trotter_step(model.hamiltonian, self.dt, n)
         else:
             step = ansatz.symmetric_trotter_step(model.hamiltonian, self.dt, n)
+        program = compile_circuit(step)
         state = run(prep)
         values = [self.evaluator.evaluate_state(state, model.observable)]
         for _ in range(self.steps):
-            state = run(step, state)
+            state = program.run(state)
             values.append(self.evaluator.evaluate_state(state, model.observable))
         stats = {"total": prep.num_gates + self.steps * step.num_gates}
         for kind, count in prep.gate_counts().items():
@@ -226,17 +241,22 @@ class VqeWorkflow(QuantumSimulationWorkflow):
         self.optimizer = self._resolve_optimizer()
         self.initial_params = config_value(self.config, "initial-params", _finite_vector)
 
-    def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
+    def check_model(self, model: QuantumSimulationModel) -> None:
         if model.num_params < 1:
             raise ValueError("VQE needs a parameterized ansatz (num_params >= 1)")
         x0 = self.initial_params
-        if x0 is None:
-            x0 = np.zeros(model.num_params)
-        if x0.size != model.num_params:
+        if x0 is not None and x0.size != model.num_params:
             raise BadConfigError(
                 f"config key 'initial-params' has {x0.size} entries, "
                 f"model needs {model.num_params}"
             )
+        self._check_budget(model.num_params)
+
+    def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
+        self.check_model(model)
+        x0 = self.initial_params
+        if x0 is None:
+            x0 = np.zeros(model.num_params)
         return self._minimize(model.state_prep, model.observable, [x0])
 
 
@@ -261,7 +281,11 @@ class QaoaWorkflow(QuantumSimulationWorkflow):
         _require(self.starts >= 1, "config key 'starts' must be >= 1")
         self.optimizer = self._resolve_optimizer()
 
+    def check_model(self, model: QuantumSimulationModel) -> None:
+        self._check_budget(2 * self.steps)
+
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
+        self.check_model(model)
         circuit = ansatz.qaoa_ansatz(model.hamiltonian, self.steps, model.num_qubits)
         starts = (
             np.random.default_rng([self.seed, s]).uniform(0.0, 2 * np.pi, size=2 * self.steps)
@@ -320,13 +344,16 @@ class QiteWorkflow(QuantumSimulationWorkflow):
             f"unknown circuit-optimizer '{value}'; known: {sorted(_CIRCUIT_OPTIMIZERS)}"
         )
 
-    def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
-        n = model.num_qubits
-        if n > QITE_MAX_QUBITS:
+    def check_model(self, model: QuantumSimulationModel) -> None:
+        if model.num_qubits > QITE_MAX_QUBITS:
             raise TooManyQubitsError(
                 f"QITE uses the full 4^n Pauli basis; capped at {QITE_MAX_QUBITS} "
-                f"qubits, got {n}"
+                f"qubits, got {model.num_qubits}"
             )
+
+    def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
+        self.check_model(model)
+        n = model.num_qubits
         hamiltonian = model.hamiltonian
         basis = _full_pauli_basis(n)
 

@@ -169,6 +169,26 @@ def test_cancel_rz_opposite_angles(pair, cancels):
     assert cancel_adjacent_inverses(circuit).gates == (() if cancels else pair)
 
 
+def _every_gate():
+    """Every kind on both qubit orders; rotations at signed zero, +-0.4, +-pi,
+    NaN and at Param slots with scales +-1, +-2 and +-0."""
+    floats = [0.0, -0.0, 0.4, -0.4, np.pi, -np.pi, float("nan")]
+    params = [Param(0, scale) for scale in (1.0, -1.0, 2.0, -2.0, 0.0, -0.0)] + [Param(1)]
+    for kind, (arity, takes_angle) in GATE_KINDS.items():
+        for qubits in ([(0,), (1,)] if arity == 1 else [(0, 1), (1, 0)]):
+            for angle in (floats + params if takes_angle else [None]):
+                yield Gate(kind, qubits, angle)
+
+
+def test_cancel_decides_as_inverse_equality_over_every_pair():
+    gates = list(_every_gate())
+    for first in gates:
+        inverse = first.inverse()
+        for second in gates:
+            kept = cancel_adjacent_inverses(Circuit(2, (first, second), 2)).gates
+            assert kept == (() if inverse == second else (first, second)), (first, second)
+
+
 def test_cancel_cascades_to_fixed_point():
     circuit = Circuit(2, (h(0), cnot(0, 1), cnot(0, 1), h(0)))
     optimized = cancel_adjacent_inverses(circuit)

@@ -263,6 +263,10 @@ MALFORMED_VALUES = [
     ("evaluator-shots=1e30", "shots", with_value(QITE, "evaluator", None, {"shots": 1e30})),
     ("csv=''", "csv", with_value(small_quench_config(), "output", "csv", "")),
 ] + [
+    # The CSV name is joined to --out, so any path component would escape it.
+    (f"csv={name}", "csv", with_value(small_quench_config(), "output", "csv", name))
+    for name in ("../x.csv", "/tmp/x.csv", "sub/x.csv", "..", ".")
+] + [
     (f"initial-params={label}", "initial-params",
      with_value(VQE, "workflow", "initial-params", value))
     for label, value in [
@@ -304,6 +308,27 @@ def test_nan_initial_params_name_the_evaluation(optimizer, evaluator, tmp_path, 
     config = write_config(tmp_path / "cfg.json", config)
     assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
     assert "'initial-params'" in capsys.readouterr().err
+
+
+# Config errors only the model can reveal: checked before the run, still exit 2.
+MODEL_DEPENDENT = [
+    ("vqe-initial-params-length", "initial-params",
+     with_value(VQE, "workflow", "initial-params", [0.1, 0.2])),
+    ("vqe-spsa-budget", "budget", with_value(VQE, "workflow", "budget", 10)),
+    ("qaoa-spsa-budget", "budget",
+     with_value(with_value(QAOA, "workflow", "optimizer", "spsa"), "workflow", "budget", 30)),
+    ("qaoa-nelder-mead-budget", "budget", with_value(QAOA, "workflow", "budget", 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "key, config", [pytest.param(key, config, id=case) for case, key, config in MODEL_DEPENDENT]
+)
+def test_model_dependent_config_error_exits_2_naming_the_key(key, config, tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", config)
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}'" in err
 
 
 NON_INTEGRAL = [
