@@ -170,9 +170,13 @@ class PauliOperator:
     coefficients with magnitude below ``COEFF_EPS`` are dropped, and a
     non-finite coefficient raises a ValueError.  The empty string holds
     scalar/constant offsets.
+
+    ``_compiled`` is the simulator's memo of the operator's expectation form
+    on one register width (see ``simulator.expectation``).  It is replaced
+    whole, never mutated, and takes no part in equality, hashing or printing.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_compiled")
 
     def __init__(self, terms=None):
         merged = {}
@@ -187,6 +191,7 @@ class PauliOperator:
                 raise ValueError(f"coefficient of {string} is not finite: {coeff!r}")
         pruned = {s: c for s, c in merged.items() if abs(c) >= COEFF_EPS}
         object.__setattr__(self, "_terms", pruned)
+        object.__setattr__(self, "_compiled", None)
 
     # -- constructors ------------------------------------------------------
 

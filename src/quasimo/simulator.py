@@ -29,6 +29,14 @@ new state from the matrix row's nonzero entries.  Every other op stays a
 kernel step, run through the same per-op dispatch as ``run``.  Only bound
 circuits compile; variational circuits, whose angles are Param slots, and
 one-off circuits go through ``run``.
+
+Compiled observables: ``expectation`` splits an operator, once per register
+width, into the real diagonal D of its Z-only terms (the constant included)
+and the tuple of its X/Y-bearing terms, and memoises both on the immutable
+operator.  Every Z-only term is then read at once as D . |psi|^2, one float
+temporary and one dot; each remaining term still takes one kernel call and a
+vdot.  Sampled tomography (``costfn``) measures term by term and does not use
+the memo.
 """
 
 from dataclasses import dataclass, field
@@ -41,6 +49,9 @@ from .pauli import _AXIS_MATRIX, PauliOperator, PauliString, TooManyQubitsError
 
 # Dense amplitudes: 2^24 complex values is ~0.25 GB, a sane desk-scale cap.
 MAX_QUBITS = 24
+
+# How far a sampled state's squared norm may drift from 1 (see ``sample``).
+SAMPLE_NORM_TOL = 1e-8
 
 _SQRT2_INV = 2**-0.5
 
@@ -418,37 +429,86 @@ def compile_circuit(circuit: Circuit) -> Program:
     return Program(n, tuple(steps))
 
 
+def _compiled_observable(op: PauliOperator, n: int) -> tuple:
+    """``op``'s expectation form on an n-qubit register, (diagonal, rest),
+    memoised on the operator for the last width asked.
+
+    ``diagonal`` is the read-only real vector
+    D[k] = sum of c * (-1)^popcount(k & z) over the Z-only terms, the
+    constant included; ``rest`` holds the X/Y-bearing (string, coefficient)
+    pairs in ``terms()`` order.
+    """
+    memo = op._compiled
+    if memo is not None and memo[0] == n:
+        return memo[1], memo[2]
+    diagonal = np.zeros(1 << n)
+    tensor = diagonal.reshape([2] * n)
+    rest = []
+    for string, coeff in op.terms():
+        if string.x:
+            rest.append((string, coeff))
+            continue
+        # The term's signs live on a tensor over its own qubits (size 1 on the
+        # others), so adding it is one broadcast pass over the diagonal.
+        signs = np.full([2 if string.z >> (n - 1 - a) & 1 else 1 for a in range(n)], coeff.real)
+        for q, _ in string.factors:
+            signs[_tensor_index(n, ((q, _HALVES[1]),))] *= -1.0
+        tensor += signs
+    diagonal.flags.writeable = False
+    rest = tuple(rest)
+    op._compiled = (n, diagonal, rest)
+    return diagonal, rest
+
+
 def expectation(state: StateVector, op: PauliOperator) -> float:
-    """<psi|op|psi> for a Hermitian operator; the residual imaginary part
-    (below 1e-10) is discarded.
+    """<psi|op|psi> for a Hermitian operator.
+
+    Computed as D . |psi|^2 plus sum(c * <psi|P|psi>) over the X/Y-bearing
+    terms P, with D the operator's compiled diagonal (built once per register
+    width, then reused).  The result is the real part of that sum; its
+    imaginary part, which the coefficients' imaginary parts below
+    ``COEFF_EPS`` and rounding leave, is dropped unchecked.
 
     Raises:
-        NonHermitianError: op has a coefficient with a significant imaginary part.
+        NonHermitianError: op has a coefficient whose imaginary part is at
+            least ``COEFF_EPS``.
+        WidthMismatchError: op touches a qubit outside the state.
     """
     if not op.is_hermitian:
         raise NonHermitianError("expectation value requires a Hermitian operator")
-    if op.width > state.num_qubits:
-        raise WidthMismatchError(
-            f"operator touches qubit {op.width - 1} on a {state.num_qubits}-qubit state"
-        )
+    n = state.num_qubits
+    if op.width > n:
+        raise WidthMismatchError(f"operator touches qubit {op.width - 1} on a {n}-qubit state")
+    diagonal, rest = _compiled_observable(op, n)
     amps = state.amplitudes
-    value = 0j
-    for string, coeff in op.terms():
-        value += coeff * np.vdot(amps, apply_pauli_string(amps, string, state.num_qubits))
+    probs = np.abs(amps)
+    probs *= probs
+    value = complex(diagonal @ probs)
+    for string, coeff in rest:
+        value += coeff * np.vdot(amps, apply_pauli_string(amps, string, n))
     return float(value.real)
 
 
 def sample(state: StateVector, shots: int, seed=0) -> ShotResult:
     """Draw ``shots`` i.i.d. bitstrings from |amplitude|^2.
 
-    Identical (state, shots, seed) gives identical counts; the generator is
-    numpy's PCG64 seeded with ``seed``.
+    The state must be normalised: a squared norm that is not finite or is
+    further than ``SAMPLE_NORM_TOL`` (1e-8) from 1 raises a ValueError.  A
+    rounding drift within that tolerance is divided out.  Identical (state,
+    shots, seed) gives identical counts; the generator is numpy's PCG64
+    seeded with ``seed``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
     probs = state.probabilities()
-    probs = probs / probs.sum()
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= SAMPLE_NORM_TOL:  # also catches NaN
+        raise ValueError(
+            f"sampling needs a normalised state: squared norm is {total!r}, "
+            f"not within {SAMPLE_NORM_TOL} of 1"
+        )
+    rng = np.random.default_rng(seed)
+    probs /= total
     drawn = rng.multinomial(shots, probs)
     counts = {}
     for index in np.flatnonzero(drawn):

@@ -132,6 +132,22 @@ def test_sample_rejects_zero_shots():
         sample(StateVector.zero(1), 0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "amplitudes, squared_norm",
+    [([3.0, 4.0], "25.0"), ([0.0, 0.0], "0.0"), ([np.nan, 0.0], "nan")],
+    ids=["norm-5", "zero", "nan"],
+)
+def test_sample_refuses_a_state_that_is_not_normalised(amplitudes, squared_norm):
+    with pytest.raises(ValueError, match=f"squared norm is {squared_norm}"):
+        sample(StateVector(1, amplitudes), 100, seed=0)
+
+
+def test_sample_accepts_a_state_after_many_random_gates(rng):
+    state = run(random_circuit(4, 1000, rng), StateVector(4, random_state(4, rng)))
+    assert sum(sample(state, 1000, seed=3).counts.values()) == 1000
+
+
 def test_qubit_cap():
     with pytest.raises(TooManyQubitsError):
         StateVector.zero(25)
