@@ -88,8 +88,7 @@ class HeisenbergParams:
     observable_name: str = "staggered_magnetization"
 
     def __post_init__(self):
-        if not self.initial_spins:
-            self.initial_spins = [0] * self.num_spins
+        self.initial_spins = _bits(self.initial_spins) or [0] * self.num_spins
         if len(self.initial_spins) != self.num_spins:
             raise ValueError(
                 f"initial_spins has {len(self.initial_spins)} entries "
@@ -109,7 +108,15 @@ def staggered_magnetization(num_spins: int) -> PauliOperator:
 
 
 def _bits(values) -> list:
-    return [as_int(b) for b in values]
+    """Spin entries as 0/1 ints (1.0 and "0" convert); any other entry,
+    a bool included, raises a ValueError."""
+    bits = []
+    for value in values:
+        bit = as_int(value)
+        if isinstance(value, bool) or bit not in (0, 1):
+            raise ValueError(f"a spin entry must be 0 or 1, got {value!r}")
+        bits.append(bit)
+    return bits
 
 
 def bits_prep(bits) -> Circuit:
@@ -300,16 +307,22 @@ def _tfim_from_options(options: dict) -> QuantumSimulationModel:
 
 def _initial_state_prep(values: dict, num_qubits: int) -> Circuit | None:
     if "initial_spins" in values:
-        return bits_prep(values["initial_spins"])
+        return _spins_prep("initial_spins", values["initial_spins"], num_qubits)
     if "initial-state" in values:
         label = values["initial-state"]
         if label == "ghz":
             gates = [h_gate(0)] + [cnot(0, q) for q in range(1, num_qubits)]
             return Circuit(num_qubits, tuple(gates))
         if set(label) <= {"0", "1"}:
-            return bits_prep(label)
+            return _spins_prep("initial-state", label, num_qubits)
         raise UnknownModelError(f"unknown initial-state {label!r}")
     return None
+
+
+def _spins_prep(key: str, bits, num_spins: int) -> Circuit:
+    if len(bits) != num_spins:
+        raise ValueError(f"config key '{key}' has {len(bits)} entries for {num_spins} spins")
+    return bits_prep(bits)
 
 
 def _star_from_options(options: dict) -> QuantumSimulationModel:

@@ -208,11 +208,14 @@ def config_value(options: dict, key: str, convert, default=None):
     """``convert(options[key])``, or ``default`` when the key is absent; a value
     that does not convert raises a ValueError naming the key.  ``int`` converts
     through ``as_int``, so a non-integral number is refused, not truncated; a
-    ``float`` key refuses NaN and the infinities.  The optimizer options, the
-    workflow keys, the model options and the CLI's config keys all convert here."""
+    ``float`` key refuses NaN and the infinities, and neither takes a bool.  The
+    optimizer options, the workflow keys, the model options and the CLI's
+    config keys all convert here."""
     if key not in options:
         return default
     try:
+        if convert in (int, float) and isinstance(options[key], bool):
+            raise ValueError
         value = (as_int if convert is int else convert)(options[key])
         if convert is float and not math.isfinite(value):
             raise ValueError

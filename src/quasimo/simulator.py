@@ -25,7 +25,9 @@ times (the time-dependent workflow's Trotter step) into a Program.  Each
 maximal run of two or more adjacent ops whose joint support is at most two
 qubits becomes one FusedBlock, the product of the ops' 2x2/4x4 matrices in
 program order; it writes each quarter-slice (half-slice for one qubit) of the
-new state from the matrix row's nonzero entries.  Every other op stays a
+new state from the matrix row's nonzero entries.  The kernel builds that
+matrix by running the ops on the identity's columns (``_block_matrix``), so
+every op kind is defined once, in the kernel dispatch.  Every other op stays a
 kernel step, run through the same per-op dispatch as ``run``.  Only bound
 circuits compile; variational circuits, whose angles are Param slots, and
 one-off circuits go through ``run``.
@@ -45,7 +47,7 @@ from math import cos, sin
 import numpy as np
 
 from .circuit import Circuit, Gate, PauliRotation, UnboundParametersError, WidthMismatchError
-from .pauli import _AXIS_MATRIX, PauliOperator, PauliString, TooManyQubitsError
+from .pauli import PauliOperator, PauliString, TooManyQubitsError
 
 # Dense amplitudes: 2^24 complex values is ~0.25 GB, a sane desk-scale cap.
 MAX_QUBITS = 24
@@ -58,34 +60,6 @@ _SQRT2_INV = 2**-0.5
 
 class NonHermitianError(ValueError):
     """Observable expectation values need a Hermitian operator."""
-
-
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """Dense matrix of a bound gate (2x2 or 4x4), the reference the tests
-    check ``apply_gate`` against."""
-    if gate.kind in _PAULI_GATES:
-        return _AXIS_MATRIX[gate.kind]
-    if gate.kind == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
-    if gate.kind == "S":
-        return np.diag([1, 1j])
-    if gate.kind == "Sdg":
-        return np.diag([1, -1j])
-    if gate.kind == "CNOT":
-        return np.array(
-            [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-        )  # basis order |t c>: the control is the low bit
-    if gate.kind == "CZ":
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    t = gate.angle
-    c, sn = cos(t / 2), sin(t / 2)
-    if gate.kind == "Rx":
-        return np.array([[c, -1j * sn], [-1j * sn, c]])
-    if gate.kind == "Ry":
-        return np.array([[c, -sn], [sn, c]])
-    if gate.kind == "Rz":
-        return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]])
-    raise ValueError(f"no matrix for gate kind {gate.kind!r}")
 
 
 @dataclass
@@ -305,33 +279,24 @@ def run(circuit: Circuit, initial=None) -> StateVector:
     return _execute(circuit.ops, circuit.num_qubits, initial)
 
 
-def _op_matrix(op, support: tuple) -> np.ndarray:
-    """Matrix of a bound op on the qubits of ``support`` (a superset of its
-    own), whose i-th qubit is bit i of the matrix index."""
-    dim = 1 << len(support)
-    bit = {q: 1 << i for i, q in enumerate(support)}
-    if isinstance(op, PauliRotation):
-        x = sum(bit[q] for q in support if op.string.x >> q & 1)
-        z = sum(bit[q] for q in support if op.string.z >> q & 1)
-        # exp(-i*theta*P) = cos(theta) - i sin(theta) P, P as in the kernel.
-        scale = -1j * sin(op.angle) * (-1j) ** (x & z).bit_count()
-        matrix = np.eye(dim, dtype=complex) * cos(op.angle)
-        for k in range(dim):
-            matrix[k, k ^ x] += scale * (-1) ** (k & z).bit_count()
-        return matrix
-    small = gate_matrix(op)
-    bits = [bit[q] for q in op.qubits]
-    rest = dim - 1 - sum(bits)
+def _block_matrix(group, qubits: tuple) -> np.ndarray:
+    """Unitary of the bound ops ``group`` on ``qubits`` (m <= 2 of them, the
+    i-th qubit being bit i of the matrix index), built by the kernel.
 
-    def local(k):  # index of basis state k in the gate's own basis
-        return sum(1 << i for i, b in enumerate(bits) if k & b)
-
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        for j in range(dim):
-            if not (k ^ j) & rest:
-                matrix[k, j] = small[local(k), local(j)]
-    return matrix
+    The ops move onto qubits m..2m-1 of a 2m-qubit register and run on the
+    state whose amplitude r * 2^m + c is [r == c].  They touch only the high
+    bits r, so column c of the identity becomes column c of their product.
+    """
+    m = len(qubits)
+    where = {q: m + i for i, q in enumerate(qubits)}
+    moved = [
+        PauliRotation(PauliString({where[q]: axis for q, axis in op.string.factors}), op.angle)
+        if isinstance(op, PauliRotation)
+        else Gate(op.kind, tuple(where[q] for q in op.qubits), op.angle)
+        for op in group
+    ]
+    identity = StateVector(2 * m, np.eye(1 << m, dtype=complex).ravel())
+    return _execute(moved, 2 * m, identity).amplitudes.reshape(1 << m, 1 << m)
 
 
 class FusedBlock:
@@ -413,10 +378,7 @@ def compile_circuit(circuit: Circuit) -> Program:
             steps.append(group[0])
         elif group:
             qubits = tuple(sorted(support))
-            matrix = np.eye(1 << len(qubits), dtype=complex)
-            for op in group:
-                matrix = _op_matrix(op, qubits) @ matrix
-            steps.append(FusedBlock(qubits, matrix, n))
+            steps.append(FusedBlock(qubits, _block_matrix(group, qubits), n))
 
     for op in circuit.ops:
         joint = support.union(op.qubits)

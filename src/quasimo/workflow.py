@@ -210,13 +210,10 @@ class TimeDependentWorkflow(QuantumSimulationWorkflow):
         for _ in range(self.steps):
             state = program.run(state)
             values.append(self.evaluator.evaluate_state(state, model.observable))
-        stats = {"total": prep.num_gates + self.steps * step.num_gates}
-        for kind, count in prep.gate_counts().items():
-            if kind != "total":
-                stats[kind] = stats.get(kind, 0) + count
-        for kind, count in step.gate_counts().items():
-            if kind != "total":
-                stats[kind] = stats.get(kind, 0) + self.steps * count
+        stats = {}
+        for circuit, times in ((prep, 1), (step, self.steps)):
+            for kind, count in circuit.gate_counts().items():
+                stats[kind] = stats.get(kind, 0) + times * count
         return WorkflowResult({"exp-vals": values, "final-circuit-stats": stats})
 
     def csv_table(self, result: WorkflowResult):

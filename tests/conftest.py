@@ -1,11 +1,57 @@
+from math import cos, sin
+
 import numpy as np
 import pytest
 
 from quasimo.circuit import GATE_KINDS, Circuit, Gate
-from quasimo.pauli import PauliOperator, PauliString
+from quasimo.pauli import _AXIS_MATRIX, PauliOperator, PauliString
 from quasimo.simulator import run
 
 RANDOM_GATE_KINDS = ["H", "S", "Sdg", "Rx", "Ry", "Rz", "CNOT", "CZ", "X", "Y", "Z"]
+
+
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """Dense matrix of a bound gate (2x2 or 4x4), the reference the tests
+    check ``apply_gate`` against."""
+    if gate.kind in ("X", "Y", "Z"):
+        return _AXIS_MATRIX[gate.kind]
+    if gate.kind == "H":
+        return np.array([[1, 1], [1, -1]], dtype=complex) * 2**-0.5
+    if gate.kind == "S":
+        return np.diag([1, 1j])
+    if gate.kind == "Sdg":
+        return np.diag([1, -1j])
+    if gate.kind == "CNOT":
+        return np.array(
+            [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
+        )  # basis order |t c>: the control is the low bit
+    if gate.kind == "CZ":
+        return np.diag([1, 1, 1, -1]).astype(complex)
+    t = gate.angle
+    c, sn = cos(t / 2), sin(t / 2)
+    if gate.kind == "Rx":
+        return np.array([[c, -1j * sn], [-1j * sn, c]])
+    if gate.kind == "Ry":
+        return np.array([[c, -sn], [sn, c]])
+    if gate.kind == "Rz":
+        return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]])
+    raise ValueError(f"no matrix for gate kind {gate.kind!r}")
+
+
+def embedded(gate, n):
+    """Dense 2^n x 2^n matrix of ``gate`` from ``gate_matrix`` and ``np.kron``.
+
+    The gate matrix acts on the low bits of ``kron(I, matrix)`` (its first
+    qubit lowest); a permutation of basis indices then moves those bits to
+    the gate's qubits.
+    """
+    qubits = gate.qubits
+    full = np.kron(np.eye(2 ** (n - len(qubits))), gate_matrix(gate))
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    perm = np.zeros((2**n, 2**n))
+    for k in range(2**n):
+        perm[sum(((k >> j) & 1) << q for j, q in enumerate(order)), k] = 1
+    return perm @ full @ perm.T
 
 
 def random_circuit(num_qubits, depth, rng):

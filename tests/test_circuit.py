@@ -21,9 +21,9 @@ from quasimo.circuit import (
     sdg,
 )
 from quasimo.pauli import PauliOperator, PauliString
-from quasimo.simulator import StateVector, gate_matrix, run
+from quasimo.simulator import StateVector, run
 
-from conftest import circuit_unitary, random_circuit, random_state
+from conftest import circuit_unitary, gate_matrix, random_circuit, random_state
 
 
 def test_every_gate_matrix_is_unitary():

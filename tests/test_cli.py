@@ -276,6 +276,23 @@ MALFORMED_VALUES = [
         ("nan,0..", [float("nan")] + [0] * 7),
         ("inf,0..", [float("inf")] + [0] * 7),
     ]
+] + [
+    # JSON true is not a number, and a spin is 0 or 1.
+    ("dt=true", "dt", with_value(HEISENBERG_2, "workflow", "dt", True)),
+    ("steps=true", "steps", with_value(HEISENBERG_2, "workflow", "steps", True)),
+] + [
+    (f"initial_spins={spins}", "initial_spins",
+     with_value(small_quench_config(), "model", "initial_spins", spins))
+    for spins in ([0, 2, 1, 0, 1], [0, -1, 1, 0, 1], [0, True, 1, 0, 1])
+] + [
+    # A TFIM initial state must have one entry per spin (QITE has num_spins 2).
+    (f"tfim-{key}={value}", key, with_value(QITE, "model", key, value))
+    for key, value in [
+        ("initial_spins", [0]),
+        ("initial_spins", [1, 0, 1]),
+        ("initial-state", "0"),
+        ("initial-state", "100"),
+    ]
 ]
 
 

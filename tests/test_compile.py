@@ -1,8 +1,10 @@
-"""The compiled program against the op-by-op ``run``.
+"""The compiled program against the op-by-op ``run`` and a dense oracle.
 
 ``compile_circuit`` folds each maximal run of adjacent ops on at most two
-qubits into one FusedBlock; the oracle is ``run``, which applies every op
-through the kernel.
+qubits into one FusedBlock, whose matrix the kernel builds.  One oracle is
+``run``, which applies every op through the same kernel; the independent one
+is the product of dense references: each gate's ``gate_matrix`` embedded
+with ``np.kron`` and scipy's ``expm`` of each rotation's string.
 """
 
 import math
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from quasimo.ansatz import symmetric_trotter_step, trotter_step
 from quasimo.circuit import (
@@ -23,7 +26,7 @@ from quasimo.circuit import (
     rx,
 )
 from quasimo.model import create_model
-from quasimo.pauli import PauliString
+from quasimo.pauli import PauliOperator, PauliString
 from quasimo.simulator import (
     FusedBlock,
     StateVector,
@@ -33,7 +36,7 @@ from quasimo.simulator import (
 )
 from quasimo.workflow import get_workflow
 
-from conftest import random_state
+from conftest import embedded, random_state
 
 angles = st.one_of(
     st.sampled_from([0.0, math.pi, -math.pi]),
@@ -85,6 +88,24 @@ def test_program_matches_run_op_by_op(circuit, seed):
     # Runs are maximal: no two neighbouring steps fit on two qubits together.
     for first, second in zip(program.steps, program.steps[1:]):
         assert len(set(first.qubits) | set(second.qubits)) > 2
+
+
+def dense_reference(op, n):
+    if isinstance(op, PauliRotation):
+        return expm(-1j * op.angle * PauliOperator.from_string(op.string).to_matrix(n))
+    return embedded(op, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(), st.integers(0, 2**32 - 1))
+def test_program_matches_the_dense_product_of_references(circuit, seed):
+    n = circuit.num_qubits
+    amps = random_state(n, np.random.default_rng(seed))
+    expected = amps
+    for op in circuit.ops:
+        expected = dense_reference(op, n) @ expected
+    got = compile_circuit(circuit).run(StateVector(n, amps)).amplitudes
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_program_leaves_the_initial_state_unchanged(rng):

@@ -17,9 +17,9 @@ from quasimo.costfn import (
 )
 from quasimo.model import bits_prep, staggered_magnetization
 from quasimo.pauli import PauliOperator, PauliString, X, Y, Z
-from quasimo.simulator import NonHermitianError, StateVector, expectation, gate_matrix, run
+from quasimo.simulator import NonHermitianError, StateVector, expectation, run
 
-from conftest import random_circuit, random_hermitian, random_state
+from conftest import gate_matrix, random_circuit, random_hermitian, random_state
 
 
 def test_exact_x_prep_z_observable():

@@ -203,3 +203,17 @@ def test_create_model_factory_keys():
 
 def test_list_models():
     assert list_models() == ["h2", "heisenberg", "star-maxcut", "tfim"]
+
+
+@pytest.mark.parametrize("spins", [[0, 2, 1], [0, -1, 1], [0, True, 1]])
+def test_spin_entries_other_than_0_and_1_raise(spins):
+    with pytest.raises(ValueError, match="0 or 1"):
+        HeisenbergParams(num_spins=3, initial_spins=spins)
+    with pytest.raises(ValueError, match="0 or 1"):
+        bits_prep(spins)
+
+
+def test_integral_spin_spellings_convert():
+    assert HeisenbergParams(num_spins=3, initial_spins=[1.0, "0", 1]).initial_spins == [1, 0, 1]
+    assert bits_prep([1.0, "0", 1]) == bits_prep([1, 0, 1])
+

@@ -25,12 +25,11 @@ from quasimo.simulator import (
     apply_operator,
     apply_pauli_string,
     expectation,
-    gate_matrix,
     run,
 )
 from quasimo.workflow import get_workflow
 
-from conftest import random_hermitian, random_state
+from conftest import embedded, random_hermitian, random_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -114,22 +113,6 @@ def test_bound_param_block_matches_bound_expansion(case, values, scale):
         run(expanded.bind_parameters(values), initial).amplitudes,
         atol=1e-12,
     )
-
-
-def embedded(gate, n):
-    """Dense 2^n x 2^n matrix of ``gate`` from ``gate_matrix`` and ``np.kron``.
-
-    The gate matrix acts on the low bits of ``kron(I, matrix)`` (its first
-    qubit lowest); a permutation of basis indices then moves those bits to
-    the gate's qubits.
-    """
-    qubits = gate.qubits
-    full = np.kron(np.eye(2 ** (n - len(qubits))), gate_matrix(gate))
-    order = list(qubits) + [q for q in range(n) if q not in qubits]
-    perm = np.zeros((2**n, 2**n))
-    for k in range(2**n):
-        perm[sum(((k >> j) & 1) << q for j, q in enumerate(order)), k] = 1
-    return perm @ full @ perm.T
 
 
 @settings(max_examples=40, deadline=None)

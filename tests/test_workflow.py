@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from quasimo import workflow as workflow_mod
 from quasimo.ansatz import qaoa_ansatz, rx_ry
-from quasimo.circuit import Circuit, h
+from quasimo.circuit import Circuit, cancel_adjacent_inverses, h
 from quasimo.costfn import EvaluatorConfig, evaluate
 from quasimo.model import (
     HeisenbergParams,
@@ -25,6 +26,7 @@ from quasimo.workflow import (
     WorkflowResult,
     get_workflow,
     list_workflows,
+    register_circuit_optimizer,
     register_workflow,
 )
 
@@ -312,6 +314,28 @@ def test_qite_circuit_optimizer_pass_shrinks_circuit():
 def test_qite_unknown_circuit_optimizer():
     with pytest.raises(BadConfigError, match="circuit-optimizer"):
         get_workflow("qite", {"steps": 1, "step-size": 0.45, "circuit-optimizer": "minify"})
+
+
+def test_registered_circuit_optimizer_runs_once_per_qite_step(monkeypatch):
+    registry = dict(workflow_mod._CIRCUIT_OPTIMIZERS)
+    monkeypatch.setattr(workflow_mod, "_CIRCUIT_OPTIMIZERS", registry)
+    inputs, outputs = [], []
+
+    def recording_pass(circuit):
+        inputs.append(circuit)
+        outputs.append(cancel_adjacent_inverses(circuit))
+        return outputs[-1]
+
+    register_circuit_optimizer("recording", recording_pass)
+    model = create_model("tfim", {"num_spins": 3, "initial-state": "000"})
+    result = get_workflow(
+        "qite", {"steps": 3, "step-size": 0.45, "circuit-optimizer": "recording"}
+    ).execute(model)
+    assert len(inputs) == 3
+    # Each step's pass sees the previous pass's output with the new chunk appended.
+    for before, after in zip(outputs, inputs[1:]):
+        assert after.ops[: len(before.ops)] == before.ops
+    assert result["final-circuit-stats"] == outputs[-1].gate_counts()
 
 
 # -- cross-cutting ---------------------------------------------------------------
