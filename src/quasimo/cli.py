@@ -197,12 +197,8 @@ def _cmd_validate(args) -> int:
         else:
             if reference_is_scalar:
                 raise ConfigError("rmse needs a reference CSV, not a scalar")
-            if len(series) != len(reference):
-                raise ConfigError(
-                    f"series length {len(series)} != reference length {len(reference)}"
-                )
             measured = distance("rmse", series, reference)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     accepted = measured <= args.threshold

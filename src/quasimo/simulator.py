@@ -99,9 +99,13 @@ class StateVector:
 
     @classmethod
     def from_bits(cls, bits) -> "StateVector":
-        """Product state from a 0/1 sequence indexed by qubit."""
-        index = sum(1 << q for q, b in enumerate(bits) if int(b))
-        return cls.basis(len(tuple(bits)), index)
+        """Product state from a 0/1 sequence indexed by qubit; any other entry
+        raises a ValueError."""
+        bits = tuple(bits)
+        for b in bits:
+            if b not in (0, 1):
+                raise ValueError(f"a bit must be 0 or 1, got {b!r}")
+        return cls.basis(len(bits), sum(1 << q for q, b in enumerate(bits) if b))
 
     @property
     def norm(self) -> float:

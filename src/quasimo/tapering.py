@@ -5,8 +5,8 @@ A Pauli string on n qubits is a 2n-bit GF(2) vector held in one int: bits
 commuting with every Hamiltonian term form the kernel, over GF(2), of the
 matrix whose rows are the terms' vectors with the halves swapped,
 ``z | x << n``.  Tapering conjugates the Hamiltonian with one Clifford per
-symmetry so the symmetry becomes a single-qubit X, substitutes the chosen
-+/-1 sector eigenvalue, and drops the qubit.
+symmetry so the symmetry becomes its single-qubit partner, substitutes the
+chosen +/-1 sector eigenvalue for that partner, and drops the qubit.
 """
 
 import itertools
@@ -143,41 +143,23 @@ def taper(hamiltonian: PauliOperator, symmetries, sector) -> PauliOperator:
         if not a.commutes_with(b):
             raise NotASymmetryError(f"symmetries {a} and {b} do not commute")
 
-    used = {}
-    for i, sym in enumerate(symmetries):
+    tapered = {}
+    for i, (sym, sign) in enumerate(zip(symmetries, sector)):
         others = symmetries[:i] + symmetries[i + 1 :]
-        q, partner = _single_qubit_partner(sym, others, used)
+        q, partner = _single_qubit_partner(sym, others, tapered)
         if q is None:
             raise SingularSystemError(
                 f"no single-qubit partner found for symmetry {sym}"
             )
-        used[q] = (sym, partner)
+        tapered[q] = (sym, partner, sign)
 
     h = hamiltonian
-    for q, (sym, partner) in used.items():
+    for sym, partner, _ in tapered.values():
         clifford = _SQRT2_INV * (
             PauliOperator.from_string(partner) + PauliOperator.from_string(sym)
         )
         h = clifford * h * clifford
-    # Align every single-qubit image onto X only after all symmetry
-    # conjugations: the alignment rotation need not commute with the other,
-    # still-unprocessed symmetries, but it cannot touch their (single-qubit,
-    # other-qubit) images.
-    for q, (sym, partner) in used.items():
-        if partner.axis_on(q) != "X":
-            rot = _SQRT2_INV * (
-                PauliOperator.from_string(PauliString({q: "X"}))
-                + PauliOperator.from_string(partner)
-            )
-            h = rot * h * rot
-
-    tapered_qubits = sorted(used)
-    signs = {}
-    for sym, sign in zip(symmetries, sector):
-        for q, (owner, _) in used.items():
-            if owner is sym:
-                signs[q] = sign
-    remaining = [q for q in range(h.width) if q not in used]
+    remaining = [q for q in range(h.width) if q not in tapered]
     index_map = {q: i for i, q in enumerate(remaining)}
 
     out = {}
@@ -185,12 +167,13 @@ def taper(hamiltonian: PauliOperator, symmetries, sector) -> PauliOperator:
         factor = 1.0
         axes = {}
         for q, axis in string.factors:
-            if q in signs:
-                if axis != "X":
+            if q in tapered:
+                _, partner, sign = tapered[q]
+                if axis != partner.axis_on(q):
                     raise SingularSystemError(
-                        f"tapered qubit {q} carries {axis} after rotation"
+                        f"tapered qubit {q} carries {axis} after conjugation"
                     )
-                factor *= signs[q]
+                factor *= sign
             else:
                 axes[index_map.get(q, q)] = axis
         new = PauliString(axes)

@@ -70,7 +70,10 @@ def _require(condition, message):
 
 def _finite_vector(value) -> np.ndarray:
     """A number or a flat list of numbers as a 1-d float array; anything else,
-    or a NaN or infinite entry, raises a ValueError."""
+    a bool or a NaN or infinite entry included, raises a ValueError."""
+    entries = value if isinstance(value, list) else [value]
+    if any(isinstance(entry, bool) for entry in entries):
+        raise ValueError
     vector = np.array(value, dtype=float, ndmin=1)
     if vector.ndim != 1 or not np.isfinite(vector).all():
         raise ValueError

@@ -275,6 +275,8 @@ MALFORMED_VALUES = [
         ("a,0..", ["a"] + [0] * 7),
         ("nan,0..", [float("nan")] + [0] * 7),
         ("inf,0..", [float("inf")] + [0] * 7),
+        ("true", True),
+        ("true,false,0..", [True, False] + [0] * 6),
     ]
 ] + [
     # JSON true is not a number, and a spin is 0 or 1.
@@ -469,3 +471,25 @@ def test_validate_missing_column_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "energy" in capsys.readouterr().err
+
+
+def test_validate_rmse_against_a_reference_of_another_length_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", small_quench_config())
+    main(["run", "--config", config, "--out", str(tmp_path), "--quiet"])
+    csv_path = tmp_path / "quench.csv"
+    reference = tmp_path / "reference.csv"
+    reference.write_text("\n".join(csv_path.read_text().splitlines()[:-1]) + "\n")
+    code = main(
+        [
+            "validate",
+            str(csv_path),
+            "--reference",
+            str(reference),
+            "--measure",
+            "rmse",
+            "--threshold",
+            "1.0",
+        ]
+    )
+    assert code == 2
+    assert "length" in capsys.readouterr().err

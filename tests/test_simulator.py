@@ -58,6 +58,14 @@ def test_expectation_neel_staggered_magnetization():
     assert expectation(neel, staggered_magnetization(9)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_from_bits_takes_only_zero_and_one():
+    assert StateVector.from_bits([1.0, 0]).amplitudes[1] == 1.0
+    assert StateVector.from_bits(np.array([0, 1, 1])).amplitudes[6] == 1.0
+    for bits, entry in [([2, 0], "2"), ([0.5, 1], "0.5"), ([0, -1], "-1")]:
+        with pytest.raises(ValueError, match=entry):
+            StateVector.from_bits(bits)
+
+
 def test_expectation_tfim_100_is_zero():
     tfim = -(Z(0) * Z(1) + Z(1) * Z(2) + X(0) + X(1) + X(2))
     assert expectation(StateVector.basis(3, 1), tfim) == pytest.approx(0.0, abs=1e-12)

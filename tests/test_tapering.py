@@ -31,6 +31,31 @@ def union_of_sector_spectra(hamiltonian, num_qubits):
     return np.sort(values)
 
 
+def projected_sector_spectrum(hamiltonian, symmetries, sector, num_qubits):
+    """Dense oracle for one sector: eigenvalues of H on the range of the
+    projector prod_i (I + s_i T_i) / 2."""
+    identity = np.eye(2**num_qubits)
+    projector = identity
+    for sym, sign in zip(symmetries, sector):
+        t = PauliOperator.from_string(sym).to_matrix(num_qubits)
+        projector = projector @ (identity + sign * t) / 2
+    weights, vectors = np.linalg.eigh(projector)
+    basis = vectors[:, weights > 0.5]
+    return np.linalg.eigvalsh(basis.conj().T @ hamiltonian.to_matrix(num_qubits) @ basis)
+
+
+def assert_each_sector_matches_its_projection(hamiltonian, num_qubits):
+    symmetries = find_z2_symmetries(hamiltonian, num_qubits)
+    reduced_width = num_qubits - len(symmetries)
+    for sector in itertools.product((1, -1), repeat=len(symmetries)):
+        tapered = taper(hamiltonian, symmetries, sector)
+        assert np.allclose(
+            np.linalg.eigvalsh(tapered.to_matrix(reduced_width)),
+            projected_sector_spectrum(hamiltonian, symmetries, sector, num_qubits),
+            atol=1e-9,
+        ), sector
+
+
 def test_z_hamiltonian_has_z_symmetry():
     assert PauliString({0: "Z"}) in find_z2_symmetries(Z(0), 1)
 
@@ -121,6 +146,26 @@ def test_union_of_sector_spectra_heisenberg_chains(n):
     assert np.allclose(union_of_sector_spectra(h, n), spectrum(h, n), atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "h, n",
+    [
+        pytest.param(create_tfim(-1.0, -1.0, 3).hamiltonian, 3, id="tfim3"),
+        pytest.param(load_h2_hamiltonian(), 4, id="h2"),
+    ]
+    + [
+        pytest.param(
+            create_heisenberg(HeisenbergParams(num_spins=n, jz=0.5)).hamiltonian,
+            n,
+            id=f"heisenberg{n}",
+        )
+        for n in (4, 5, 6)
+    ],
+)
+def test_each_sector_spectrum_matches_its_projection(h, n):
+    # Unlike the union tests, this sees two sectors swapped.
+    assert_each_sector_matches_its_projection(h, n)
+
+
 @st.composite
 def planted_symmetry_operators(draw):
     """(n, H) with n <= 4 and H built from terms commuting with 1-2 random
@@ -146,6 +191,7 @@ def planted_symmetry_operators(draw):
 def test_tapering_preserves_spectra_of_planted_symmetry_operators(case):
     n, h = case
     assert np.allclose(union_of_sector_spectra(h, n), spectrum(h, n), atol=1e-9)
+    assert_each_sector_matches_its_projection(h, n)
     symmetries = find_z2_symmetries(h)
     tapered = taper(h, symmetries, auto_sector(h, symmetries))
     assert exact_ground_energy(tapered) == pytest.approx(spectrum(h, n)[0], abs=1e-9)
