@@ -13,7 +13,9 @@ Debug text dump: one gate per line, ``KIND q<i>[,q<j>][(angle)]``; symbolic
 angles print as ``(p<slot>)``, scaled slots as ``(<scale>*p<slot>)``.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 from .pauli import PauliString
 
@@ -220,12 +222,23 @@ class Circuit:
         return len(self.gates)
 
     def gate_counts(self) -> dict:
-        """Per-kind gate counts plus a ``"total"`` entry."""
-        gates = self.gates
-        counts = {}
-        for gate in gates:
-            counts[gate.kind] = counts.get(gate.kind, 0) + 1
-        counts["total"] = len(gates)
+        """Per-kind counts of the gate-level expansion plus a ``"total"`` entry.
+
+        Counted without building the expansion: a PauliRotation on w qubits
+        adds its factors' basis changes into Z and back, 2(w-1) CNOTs and one
+        Rz (see ``PauliRotation.gates``).
+        """
+        counts = Counter()
+        for op in self.ops:
+            if isinstance(op, Gate):
+                counts[op.kind] += 1
+                continue
+            for _, axis in op.string.factors:
+                counts.update(_basis_change_counts(axis))
+            counts["CNOT"] += 2 * (len(op.qubits) - 1)
+            counts["Rz"] += 1
+        counts = {kind: count for kind, count in counts.items() if count}
+        counts["total"] = sum(counts.values())
         return counts
 
     def bind_parameters(self, values) -> "Circuit":
@@ -322,6 +335,15 @@ def basis_change_gates(string: PauliString) -> tuple:
             gates.append(sdg(q))
             gates.append(h(q))
     return tuple(gates)
+
+
+@cache
+def _basis_change_counts(axis: str) -> Counter:
+    """Per-kind counts of the gates a factor on ``axis`` adds to a
+    PauliRotation's expansion: its basis change and the undo.  Shared by
+    every caller, so never mutated."""
+    pre = basis_change_gates(PauliString({0: axis}))
+    return Counter(g.kind for g in pre + tuple(g.inverse() for g in pre))
 
 
 def exp_pauli(theta, string: PauliString, num_qubits=None) -> Circuit:

@@ -191,6 +191,8 @@ def _cmd_validate(args) -> int:
             reference_is_scalar = True
         except ValueError:
             reference = _read_column(args.reference, args.column)
+            if not reference:
+                raise ConfigError(f"{args.reference} has no data rows")
             reference_is_scalar = False
         if args.measure == "abs-diff":
             measured = distance("abs-diff", series[-1], reference[-1])

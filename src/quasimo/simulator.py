@@ -22,15 +22,20 @@ exp(-i*theta*P) blocks run through it too.
 
 Compiled programs: ``compile_circuit`` turns a bound circuit that runs many
 times (the time-dependent workflow's Trotter step) into a Program.  Each
-maximal run of two or more adjacent ops whose joint support is at most two
-qubits becomes one FusedBlock, the product of the ops' 2x2/4x4 matrices in
-program order; it writes each quarter-slice (half-slice for one qubit) of the
-new state from the matrix row's nonzero entries.  The kernel builds that
-matrix by running the ops on the identity's columns (``_block_matrix``), so
-every op kind is defined once, in the kernel dispatch.  Every other op stays a
-kernel step, run through the same per-op dispatch as ``run``.  Only bound
-circuits compile; variational circuits, whose angles are Param slots, and
-one-off circuits go through ``run``.
+maximal run of two or more adjacent ops whose joint support has at most two
+qubits, or lies entirely below ``LOW_QUBITS``, becomes one FusedBlock, the
+product of the ops' matrices in program order.  The 2^m amplitudes of qubits
+0..m-1 are adjacent in memory, so a block below ``LOW_QUBITS`` takes its
+matrix over qubits 0..max(support) and applies as one matrix product on the
+(2^(n-m), 2^m) view of the state, reading and writing it once.  Any other
+block has at most two qubits and writes each quarter-slice (half-slice for
+one qubit) of the new state from the matrix row's nonzero entries; on low
+qubits those slices' contiguous runs would be a cache line or shorter.  The
+kernel builds every block matrix by running the ops on the identity's columns
+(``_block_matrix``), so every op kind is defined once, in the kernel
+dispatch.  Every other op stays a kernel step, run through the same per-op
+dispatch as ``run``.  Only bound circuits compile; variational circuits,
+whose angles are Param slots, and one-off circuits go through ``run``.
 
 Compiled observables: ``expectation`` splits an operator, once per register
 width, into the real diagonal D of its Z-only terms (the constant included)
@@ -51,6 +56,13 @@ from .pauli import PauliOperator, PauliString, TooManyQubitsError
 
 # Dense amplitudes: 2^24 complex values is ~0.25 GB, a sane desk-scale cap.
 MAX_QUBITS = 24
+
+# A fused block whose qubits all lie below this acts on the 2^m contiguous
+# amplitudes of qubits 0..m-1, as one matrix product (see ``FusedBlock``).
+# At 5 a lone two-qubit block on (3, 4) is faster as a 32x32 product than as
+# quarter-slices; at 6 one on (4, 5) is slower as a 64x64 product (one BLAS
+# thread, 16 qubits).
+LOW_QUBITS = 5
 
 # How far a sampled state's squared norm may drift from 1 (see ``sample``).
 SAMPLE_NORM_TOL = 1e-8
@@ -284,8 +296,8 @@ def run(circuit: Circuit, initial=None) -> StateVector:
 
 
 def _block_matrix(group, qubits: tuple) -> np.ndarray:
-    """Unitary of the bound ops ``group`` on ``qubits`` (m <= 2 of them, the
-    i-th qubit being bit i of the matrix index), built by the kernel.
+    """Unitary of the bound ops ``group`` on ``qubits`` (m of them, the i-th
+    qubit being bit i of the matrix index), built by the kernel.
 
     The ops move onto qubits m..2m-1 of a 2m-qubit register and run on the
     state whose amplitude r * 2^m + c is [r == c].  They touch only the high
@@ -304,20 +316,29 @@ def _block_matrix(group, qubits: tuple) -> np.ndarray:
 
 
 class FusedBlock:
-    """A run of adjacent ops on at most two of an n-qubit register's qubits,
-    as one small unitary.
+    """A run of adjacent bound ops on an n-qubit register, as one small
+    unitary built by the kernel (``_block_matrix``).
 
-    ``qubits`` is the run's support, ascending; its i-th qubit is bit i of
-    the matrix index.  Applying the block writes each of the 2^m quarter-slices
-    (half-slices for one qubit) of a new state as the sum of the matrix row's
-    nonzero entries times the input's slices.
+    ``qubits`` is the run's support, ascending.  When every one of them lies
+    below ``LOW_QUBITS``, ``matrix`` acts on qubits 0..m-1, m = max(qubits) + 1,
+    whose 2^m amplitudes are adjacent in memory: the block is one matrix
+    product on the (2^(n-m), 2^m) view of the state, which reads and writes
+    it once.  Otherwise the support has at most two qubits, ``matrix`` acts on
+    them (the i-th being bit i of the matrix index), and applying the block
+    writes each of the 2^m quarter-slices (half-slices for one qubit) of a new
+    state as the sum of the matrix row's nonzero entries times the input's
+    slices.
     """
 
     __slots__ = ("qubits", "matrix", "_shape", "_parts", "_rows")
 
-    def __init__(self, qubits: tuple, matrix: np.ndarray, n: int):
+    def __init__(self, group, qubits: tuple, n: int):
         self.qubits = qubits
-        self.matrix = matrix
+        if qubits[-1] < LOW_QUBITS:
+            self.matrix = _block_matrix(group, tuple(range(qubits[-1] + 1)))
+            self._parts = None
+            return
+        self.matrix = matrix = _block_matrix(group, qubits)
         self._shape = [2] * n
         self._parts = [
             _tensor_index(n, tuple((q, _HALVES[k >> i & 1]) for i, q in enumerate(qubits)))
@@ -329,6 +350,8 @@ class FusedBlock:
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """The block applied to a flat n-qubit amplitude array, as a new array."""
+        if self._parts is None:
+            return (amps.reshape(-1, len(self.matrix)) @ self.matrix.T).ravel()
         source = amps.reshape(self._shape)
         out = np.empty_like(amps)
         result = out.reshape(self._shape)
@@ -361,10 +384,10 @@ def compile_circuit(circuit: Circuit) -> Program:
     """Compile a bound circuit once for many runs.
 
     Walks the ops once and folds every maximal run of two or more adjacent
-    ops whose joint support is at most two qubits into one FusedBlock, the
-    product of the ops' matrices in program order.  Nothing is reordered, so
-    the program is the circuit's unitary up to rounding; every other op stays
-    a kernel step.
+    ops whose joint support has at most two qubits, or lies entirely below
+    ``LOW_QUBITS``, into one FusedBlock, the product of the ops' matrices in
+    program order.  Nothing is reordered, so the program is the circuit's
+    unitary up to rounding; every other op stays a kernel step.
 
     Raises:
         UnboundParametersError: the circuit still has symbolic parameters.
@@ -381,12 +404,11 @@ def compile_circuit(circuit: Circuit) -> Program:
         if len(group) == 1:
             steps.append(group[0])
         elif group:
-            qubits = tuple(sorted(support))
-            steps.append(FusedBlock(qubits, _block_matrix(group, qubits), n))
+            steps.append(FusedBlock(group, tuple(sorted(support)), n))
 
     for op in circuit.ops:
         joint = support.union(op.qubits)
-        if len(joint) > 2:
+        if len(joint) > 2 and max(joint) >= LOW_QUBITS:
             close()
             group, joint = [], set(op.qubits)
         group.append(op)

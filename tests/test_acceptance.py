@@ -4,6 +4,7 @@ the measured figure of merit when its assertions hold."""
 import itertools
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,3 +249,17 @@ def test_criterion_9_cli_determinism(tmp_path):
     second = (tmp_path / "second" / "out.csv").read_bytes()
     assert first == second
     print(f"ACCEPTANCE 9: PASS  repeated seeded CLI runs byte-identical ({len(first)} bytes)")
+
+
+def test_criterion_9_time_dependent_cli_determinism(tmp_path):
+    # A 9-spin chain: its Trotter step's low blocks run as BLAS matrix products.
+    config = Path(__file__).resolve().parent.parent / "configs" / "heisenberg_quench_g025.json"
+    for label in ("first", "second"):
+        code = cli_main(
+            ["run", "--config", str(config), "--out", str(tmp_path / label), "--quiet"]
+        )
+        assert code == 0
+    first = (tmp_path / "first" / "heisenberg_g025.csv").read_bytes()
+    second = (tmp_path / "second" / "heisenberg_g025.csv").read_bytes()
+    assert first == second
+    print(f"ACCEPTANCE 9: PASS  repeated time-dependent CLI runs byte-identical ({len(first)} bytes)")

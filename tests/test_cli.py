@@ -493,3 +493,26 @@ def test_validate_rmse_against_a_reference_of_another_length_exits_2(tmp_path, c
     )
     assert code == 2
     assert "length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("measure", ["abs-diff", "rmse"])
+def test_validate_header_only_reference_exits_2(tmp_path, capsys, measure):
+    config = write_config(tmp_path / "cfg.json", small_quench_config())
+    main(["run", "--config", config, "--out", str(tmp_path), "--quiet"])
+    csv_path = tmp_path / "quench.csv"
+    reference = tmp_path / "reference.csv"
+    reference.write_text(csv_path.read_text().splitlines()[0] + "\n")
+    code = main(
+        [
+            "validate",
+            str(csv_path),
+            "--reference",
+            str(reference),
+            "--measure",
+            measure,
+            "--threshold",
+            "1.0",
+        ]
+    )
+    assert code == 2
+    assert f"{reference} has no data rows" in capsys.readouterr().err

@@ -1,10 +1,16 @@
 """The compiled program against the op-by-op ``run`` and a dense oracle.
 
-``compile_circuit`` folds each maximal run of adjacent ops on at most two
-qubits into one FusedBlock, whose matrix the kernel builds.  One oracle is
-``run``, which applies every op through the same kernel; the independent one
-is the product of dense references: each gate's ``gate_matrix`` embedded
-with ``np.kron`` and scipy's ``expm`` of each rotation's string.
+``compile_circuit`` folds each maximal run of adjacent ops whose joint
+support has at most two qubits, or lies entirely below ``LOW_QUBITS``, into
+one FusedBlock, whose matrix the kernel builds.  A block below
+``LOW_QUBITS`` applies as one matrix product over qubits 0..max(support);
+every other block writes quarter-slices.  One oracle is ``run``, which
+applies every op through the same kernel; the independent one is the
+product of dense references: each gate's ``gate_matrix`` embedded with
+``np.kron`` and scipy's ``expm`` of each rotation's string.  The low-block
+strategy draws supports that skip low qubits (such as {1, 3}), so a matrix
+built over the support alone, a transposed matrix or a reshape to the
+support's width fails it.
 """
 
 import math
@@ -28,6 +34,7 @@ from quasimo.circuit import (
 from quasimo.model import create_model
 from quasimo.pauli import PauliOperator, PauliString
 from quasimo.simulator import (
+    LOW_QUBITS,
     FusedBlock,
     StateVector,
     compile_circuit,
@@ -77,15 +84,52 @@ def test_program_matches_run_op_by_op(circuit, seed):
     program = compile_circuit(circuit)
     expected = run(circuit, initial).amplitudes
     assert np.allclose(program.run(initial).amplitudes, expected, rtol=0, atol=1e-12)
-    # An op on three or more qubits is never fused: it stays its own step.
+    # An op on three or more qubits, one of them at or above LOW_QUBITS, is
+    # never fused: it stays its own step.
     for op in circuit.ops:
-        if len(op.qubits) > 2:
+        if not fusable(op.qubits):
             assert any(step is op for step in program.steps)
     for step in program.steps:
         if isinstance(step, FusedBlock):
-            assert len(step.qubits) <= 2
+            assert fusable(step.qubits)
+            width = step.qubits[-1] + 1 if step.qubits[-1] < LOW_QUBITS else len(step.qubits)
+            assert len(step.matrix) == 2**width
             assert np.allclose(step.matrix.conj().T @ step.matrix, np.eye(len(step.matrix)))
-    # Runs are maximal: no two neighbouring steps fit on two qubits together.
+    # Runs are maximal: no two neighbouring steps fuse together.
+    for first, second in zip(program.steps, program.steps[1:]):
+        assert not fusable(set(first.qubits) | set(second.qubits))
+
+
+def fusable(qubits):
+    """Whether ops on ``qubits`` jointly may form one FusedBlock."""
+    return len(qubits) <= 2 or max(qubits) < LOW_QUBITS
+
+
+def shifted(circuit, offset):
+    """``circuit`` moved up ``offset`` qubits, on a register that much wider."""
+    ops = tuple(
+        PauliRotation(PauliString({q + offset: a for q, a in op.string.factors}), op.angle)
+        if isinstance(op, PauliRotation)
+        else Gate(op.kind, tuple(q + offset for q in op.qubits), op.angle)
+        for op in circuit.ops
+    )
+    return Circuit(circuit.num_qubits + offset, ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(), st.integers(0, 2**32 - 1))
+def test_blocks_above_low_qubits_fold_on_two_qubits_and_match_run(circuit, seed):
+    # Moved above LOW_QUBITS, runs fold only while they fit on two qubits and
+    # every block writes quarter-slices.
+    circuit = shifted(circuit, LOW_QUBITS)
+    n = circuit.num_qubits
+    initial = StateVector(n, random_state(n, np.random.default_rng(seed)))
+    program = compile_circuit(circuit)
+    expected = run(circuit, initial).amplitudes
+    assert np.allclose(program.run(initial).amplitudes, expected, rtol=0, atol=1e-12)
+    for step in program.steps:
+        if isinstance(step, FusedBlock):
+            assert len(step.qubits) <= 2
     for first, second in zip(program.steps, program.steps[1:]):
         assert len(set(first.qubits) | set(second.qubits)) > 2
 
@@ -108,6 +152,47 @@ def test_program_matches_the_dense_product_of_references(circuit, seed):
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
+@st.composite
+def low_circuits(draw):
+    """Random bound circuits on 4 to 8 qubits whose ops all act below
+    LOW_QUBITS: gates of every kind and rotations on 1 to LOW_QUBITS
+    qubits, inside a pool of qubits that often skips qubit 0 or others
+    below the pool's highest."""
+    n = draw(st.integers(4, 8))
+    low = min(n, LOW_QUBITS)
+    pool = draw(st.lists(st.integers(0, low - 1), min_size=1, max_size=low, unique=True))
+    ops = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            support = draw(st.permutations(pool))[: draw(st.integers(1, len(pool)))]
+            axes = [draw(st.sampled_from("XYZ")) for _ in support]
+            ops.append(PauliRotation(PauliString(dict(zip(support, axes))), draw(angles)))
+            continue
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        arity, takes_angle = GATE_KINDS[kind]
+        if arity > len(pool):
+            continue
+        qubits = draw(st.permutations(pool))[:arity]
+        ops.append(Gate(kind, qubits, draw(angles) if takes_angle else None))
+    return Circuit(n, tuple(ops))
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_circuits(), st.integers(0, 2**32 - 1))
+def test_low_blocks_match_the_dense_product_and_run(circuit, seed):
+    n = circuit.num_qubits
+    initial = StateVector(n, random_state(n, np.random.default_rng(seed)))
+    expected = initial.amplitudes
+    for op in circuit.ops:
+        expected = dense_reference(op, n) @ expected
+    program = compile_circuit(circuit)
+    got = program.run(initial).amplitudes
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
+    assert np.allclose(got, run(circuit, initial).amplitudes, rtol=0, atol=1e-12)
+    # Every op lies below LOW_QUBITS, so the whole circuit folds into one step.
+    assert len(program.steps) <= 1
+
+
 def test_program_leaves_the_initial_state_unchanged(rng):
     circuit = Circuit(3, (rx(0, 0.3), rx(1, 0.2), Gate("CNOT", (0, 1)), Gate("H", (2,))))
     initial = StateVector(3, random_state(3, rng))
@@ -116,13 +201,20 @@ def test_program_leaves_the_initial_state_unchanged(rng):
     assert np.array_equal(initial.amplitudes, before)
 
 
-def test_sixteen_spin_symmetric_xxz_step_compiles_to_29_fused_steps():
+def test_sixteen_spin_symmetric_xxz_step_compiles_to_23_fused_steps():
     model = create_model("heisenberg", {"num_spins": 16, "Jz": 0.25})
     step = symmetric_trotter_step(model.hamiltonian, 0.05, 16)
     program = compile_circuit(step)
     assert len(step.ops) == 90
-    assert len(program.steps) == 29
     assert all(isinstance(s, FusedBlock) for s in program.steps)
+    # Bonds (0,1)..(3,4) fold into one low block at each end of the step; the
+    # 11 bonds from (4,5) up stay two-qubit blocks, the top one run once.
+    low = (0, 1, 2, 3, 4)
+    assert len(program.steps[0].matrix) == 2**5
+    assert [s.qubits for s in program.steps] == (
+        [low] + [(q, q + 1) for q in range(4, 15)] + [(q, q + 1) for q in range(13, 3, -1)] + [low]
+    )
+    assert len(program.steps) == 23
 
 
 def test_compiling_an_unbound_circuit_raises():

@@ -8,6 +8,7 @@ register with ``np.kron``.
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,30 @@ def test_block_ops_expand_to_the_gate_circuit():
     assert circuit.ops == (PauliRotation(string, 0.25),)
     assert circuit.num_gates == 7
     assert circuit.inverse().gates == Circuit(3, circuit.gates).inverse().gates
+
+
+@st.composite
+def mixed_circuits(draw):
+    """Bound 6-qubit circuits mixing gates of every kind and blocks."""
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            _, string, _ = draw(strings())
+            ops.append(PauliRotation(string, draw(angles)))
+            continue
+        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        arity, takes_angle = GATE_KINDS[kind]
+        qubits = draw(st.permutations(range(6)))[:arity]
+        ops.append(Gate(kind, tuple(qubits), draw(angles) if takes_angle else None))
+    return Circuit(6, tuple(ops))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_circuits())
+def test_gate_counts_match_the_expansion(circuit):
+    expected = Counter(gate.kind for gate in circuit.gates)
+    expected["total"] = len(circuit.gates)
+    assert circuit.gate_counts() == dict(expected)
 
 
 def run_config(name, **workflow_overrides):
