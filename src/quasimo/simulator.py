@@ -21,17 +21,15 @@ half-slices.  Pauli strings, Pauli-sum operators, expectation values and
 exp(-i*theta*P) blocks run through it too.
 
 Compiled programs: ``compile_circuit`` turns a bound circuit that runs many
-times (the time-dependent workflow's Trotter step) into a Program.  Each
-maximal run of two or more adjacent ops whose joint support has at most two
-qubits, or lies entirely below ``LOW_QUBITS``, becomes one FusedBlock, the
-product of the ops' matrices in program order.  The 2^m amplitudes of qubits
-0..m-1 are adjacent in memory, so a block below ``LOW_QUBITS`` takes its
-matrix over qubits 0..max(support) and applies as one matrix product on the
-(2^(n-m), 2^m) view of the state, reading and writing it once.  Any other
-block has at most two qubits and writes each quarter-slice (half-slice for
-one qubit) of the new state from the matrix row's nonzero entries; on low
-qubits those slices' contiguous runs would be a cache line or shorter.  The
-kernel builds every block matrix by running the ops on the identity's columns
+times (the time-dependent workflow's Trotter step) into a Program.  A run of
+ops with joint support S has the window of qubits lo..hi: hi is max(S) and
+lo is min(S), or 0 when min(S) < ``SHORT_ROWS``.  Each maximal run of two or
+more adjacent ops whose window spans at most ``WINDOW`` qubits becomes one
+FusedBlock, the product of the ops' matrices in program order over every
+qubit of the window.  Those m qubits are the middle axis of the
+(2^(n-1-hi), 2^m, 2^lo) view of the state, so the block is one matrix
+product on that view, reading and writing the state once.  The kernel builds
+every block matrix by running the ops on the identity's columns
 (``_block_matrix``), so every op kind is defined once, in the kernel
 dispatch.  Every other op stays a kernel step, run through the same per-op
 dispatch as ``run``.  Only bound circuits compile; variational circuits,
@@ -57,12 +55,14 @@ from .pauli import PauliOperator, PauliString, TooManyQubitsError
 # Dense amplitudes: 2^24 complex values is ~0.25 GB, a sane desk-scale cap.
 MAX_QUBITS = 24
 
-# A fused block whose qubits all lie below this acts on the 2^m contiguous
-# amplitudes of qubits 0..m-1, as one matrix product (see ``FusedBlock``).
-# At 5 a lone two-qubit block on (3, 4) is faster as a 32x32 product than as
-# quarter-slices; at 6 one on (4, 5) is slower as a 64x64 product (one BLAS
-# thread, 16 qubits).
-LOW_QUBITS = 5
+# The widest qubit window a fused block may span (see ``compile_circuit``).
+# At 3 and at 5 the 16-spin symmetric XXZ step runs slower than at 4 (one
+# BLAS thread).
+WINDOW = 4
+# A window that reaches below this qubit starts at qubit 0.  A window from
+# qubit 1 or 2 would leave rows of 2 or 4 contiguous amplitudes, on which the
+# batched product is 2-5x slower (16 qubits, one BLAS thread).
+SHORT_ROWS = 3
 
 # How far a sampled state's squared norm may drift from 1 (see ``sample``).
 SAMPLE_NORM_TOL = 1e-8
@@ -316,56 +316,29 @@ def _block_matrix(group, qubits: tuple) -> np.ndarray:
 
 
 class FusedBlock:
-    """A run of adjacent bound ops on an n-qubit register, as one small
-    unitary built by the kernel (``_block_matrix``).
+    """A run of adjacent bound ops, as one small unitary built by the kernel
+    (``_block_matrix``).
 
-    ``qubits`` is the run's support, ascending.  When every one of them lies
-    below ``LOW_QUBITS``, ``matrix`` acts on qubits 0..m-1, m = max(qubits) + 1,
-    whose 2^m amplitudes are adjacent in memory: the block is one matrix
-    product on the (2^(n-m), 2^m) view of the state, which reads and writes
-    it once.  Otherwise the support has at most two qubits, ``matrix`` acts on
-    them (the i-th being bit i of the matrix index), and applying the block
-    writes each of the 2^m quarter-slices (half-slices for one qubit) of a new
-    state as the sum of the matrix row's nonzero entries times the input's
-    slices.
+    ``qubits`` is the run's window lo..hi, ascending (see ``compile_circuit``),
+    and ``matrix`` acts on all m of them, the i-th being bit i of the matrix
+    index.  Applying the block is one matrix product on the
+    (2^(n-1-hi), 2^m, 2^lo) view of an n-qubit state; when lo = 0 it is the
+    2-D (2^(n-m), 2^m) view times the transpose, since a batched product with
+    a trailing axis of 1 is several times slower.
     """
 
-    __slots__ = ("qubits", "matrix", "_shape", "_parts", "_rows")
+    __slots__ = ("qubits", "matrix")
 
-    def __init__(self, group, qubits: tuple, n: int):
+    def __init__(self, group, qubits: tuple):
         self.qubits = qubits
-        if qubits[-1] < LOW_QUBITS:
-            self.matrix = _block_matrix(group, tuple(range(qubits[-1] + 1)))
-            self._parts = None
-            return
-        self.matrix = matrix = _block_matrix(group, qubits)
-        self._shape = [2] * n
-        self._parts = [
-            _tensor_index(n, tuple((q, _HALVES[k >> i & 1]) for i, q in enumerate(qubits)))
-            for k in range(len(matrix))
-        ]
-        self._rows = [
-            [(int(j), complex(row[j])) for j in np.flatnonzero(row)] for row in matrix
-        ]
+        self.matrix = _block_matrix(group, qubits)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """The block applied to a flat n-qubit amplitude array, as a new array."""
-        if self._parts is None:
-            return (amps.reshape(-1, len(self.matrix)) @ self.matrix.T).ravel()
-        source = amps.reshape(self._shape)
-        out = np.empty_like(amps)
-        result = out.reshape(self._shape)
-        scratch = None
-        for part, row in zip(self._parts, self._rows):
-            target = result[part]
-            (j, coeff), *rest = row
-            np.multiply(source[self._parts[j]], coeff, out=target)
-            for j, coeff in rest:
-                if scratch is None:
-                    scratch = np.empty_like(target)
-                np.multiply(source[self._parts[j]], coeff, out=scratch)
-                target += scratch
-        return out
+        m = len(self.matrix)
+        if self.qubits[0] == 0:
+            return (amps.reshape(-1, m) @ self.matrix.T).ravel()
+        return np.matmul(self.matrix, amps.reshape(-1, m, 1 << self.qubits[0])).ravel()
 
 
 @dataclass(frozen=True)
@@ -384,10 +357,12 @@ def compile_circuit(circuit: Circuit) -> Program:
     """Compile a bound circuit once for many runs.
 
     Walks the ops once and folds every maximal run of two or more adjacent
-    ops whose joint support has at most two qubits, or lies entirely below
-    ``LOW_QUBITS``, into one FusedBlock, the product of the ops' matrices in
-    program order.  Nothing is reordered, so the program is the circuit's
-    unitary up to rounding; every other op stays a kernel step.
+    ops whose window spans at most ``WINDOW`` qubits into one FusedBlock,
+    the product of the ops' matrices in program order.  A run's window is
+    min(S)..max(S) of its joint support S, or 0..max(S) when min(S) <
+    ``SHORT_ROWS``.  Nothing is reordered, so the program is the circuit's
+    unitary up to rounding; every other op stays a kernel step, among them
+    every op whose own window is wider than ``WINDOW``.
 
     Raises:
         UnboundParametersError: the circuit still has symbolic parameters.
@@ -396,25 +371,26 @@ def compile_circuit(circuit: Circuit) -> Program:
         raise UnboundParametersError(
             f"circuit has {circuit.num_params} unbound parameter(s); bind first"
         )
-    n = circuit.num_qubits
     steps = []
-    group, support = [], set()
+    group, lo, hi = [], 0, 0
 
     def close():
         if len(group) == 1:
             steps.append(group[0])
         elif group:
-            steps.append(FusedBlock(group, tuple(sorted(support)), n))
+            steps.append(FusedBlock(group, tuple(range(lo, hi + 1))))
 
     for op in circuit.ops:
-        joint = support.union(op.qubits)
-        if len(joint) > 2 and max(joint) >= LOW_QUBITS:
+        low = min(op.qubits) if min(op.qubits) >= SHORT_ROWS else 0
+        high = max(op.qubits)
+        if group and max(hi, high) - min(lo, low) < WINDOW:
+            group.append(op)
+            lo, hi = min(lo, low), max(hi, high)
+        else:
             close()
-            group, joint = [], set(op.qubits)
-        group.append(op)
-        support = joint
+            group, lo, hi = [op], low, high
     close()
-    return Program(n, tuple(steps))
+    return Program(circuit.num_qubits, tuple(steps))
 
 
 def _compiled_observable(op: PauliOperator, n: int) -> tuple:

@@ -4,9 +4,12 @@ A Pauli string on n qubits is a 2n-bit GF(2) vector held in one int: bits
 0..n-1 are its ``x`` mask and bits n..2n-1 its ``z`` mask.  Strings
 commuting with every Hamiltonian term form the kernel, over GF(2), of the
 matrix whose rows are the terms' vectors with the halves swapped,
-``z | x << n``.  Tapering conjugates the Hamiltonian with one Clifford per
-symmetry so the symmetry becomes its single-qubit partner, substitutes the
-chosen +/-1 sector eigenvalue for that partner, and drops the qubit.
+``z | x << n``.  Tapering first brings the symmetries to a basis of the group
+they generate in which each has a single-qubit partner anticommuting with it
+alone (symplectic Gaussian elimination), then conjugates the Hamiltonian
+with one Clifford per generator so the generator becomes its partner,
+substitutes the generator's +/-1 sector eigenvalue for that partner, and
+drops the qubit.
 """
 
 import itertools
@@ -98,19 +101,42 @@ def find_z2_symmetries(hamiltonian: PauliOperator, num_qubits: int = None) -> li
     return symmetries
 
 
-def _single_qubit_partner(symmetry, others, used):
-    """Lowest-index (qubit, axis) single-qubit Pauli anticommuting with
-    ``symmetry`` and commuting with every other symmetry."""
-    for q in symmetry.support:
-        if q in used:
-            continue
-        for axis in ("X", "Y", "Z"):
-            candidate = PauliString({q: axis})
-            if candidate.commutes_with(symmetry):
-                continue
-            if all(candidate.commutes_with(o) for o in others):
-                return q, candidate
-    return None, None
+def _partnered_basis(symmetries, sector) -> dict:
+    """{qubit: (generator, sign, partner)} for a basis of the group that the
+    commuting ``symmetries`` generate, in which each generator's partner, a
+    single-qubit Pauli on its own qubit, anticommutes with it alone.
+
+    Symplectic Gaussian elimination: generator i takes the first Pauli on a
+    free qubit of its support (ascending, then X, Y, Z) anticommuting with
+    it, preferring one that commutes with every other generator; every other
+    generator anticommuting with the partner is then multiplied by generator
+    i, which commutes with the earlier partners.  A product's sector sign is
+    its factors' signs times its phase (+-1, as the factors commute).
+
+    Raises:
+        SingularSystemError: the symmetries are not independent.
+    """
+    basis = list(zip(symmetries, sector))
+    pivots = {}
+    for i, original in enumerate(symmetries):
+        sym, sign = basis[i]
+        free = (PauliString({q: axis}) for q in sym.support if q not in pivots for axis in "XYZ")
+        candidates = [c for c in free if not c.commutes_with(sym)]
+        if not candidates:
+            raise SingularSystemError(
+                f"no single-qubit partner found for symmetry {original}: "
+                "it is a product of the other symmetries"
+            )
+        others = [o for j, (o, _) in enumerate(basis) if j != i]
+        partner = next(
+            (c for c in candidates if all(c.commutes_with(o) for o in others)), candidates[0]
+        )
+        for j, (other, other_sign) in enumerate(basis):
+            if j != i and not partner.commutes_with(other):
+                phase, product = other.multiply(sym)
+                basis[j] = (product, other_sign * sign * int(phase.real))
+        pivots[partner.support[0]] = (i, partner)
+    return {q: (*basis[i], partner) for q, (i, partner) in pivots.items()}
 
 
 def taper(hamiltonian: PauliOperator, symmetries, sector) -> PauliOperator:
@@ -143,18 +169,9 @@ def taper(hamiltonian: PauliOperator, symmetries, sector) -> PauliOperator:
         if not a.commutes_with(b):
             raise NotASymmetryError(f"symmetries {a} and {b} do not commute")
 
-    tapered = {}
-    for i, (sym, sign) in enumerate(zip(symmetries, sector)):
-        others = symmetries[:i] + symmetries[i + 1 :]
-        q, partner = _single_qubit_partner(sym, others, tapered)
-        if q is None:
-            raise SingularSystemError(
-                f"no single-qubit partner found for symmetry {sym}"
-            )
-        tapered[q] = (sym, partner, sign)
-
+    tapered = _partnered_basis(symmetries, sector)
     h = hamiltonian
-    for sym, partner, _ in tapered.values():
+    for sym, _, partner in tapered.values():
         clifford = _SQRT2_INV * (
             PauliOperator.from_string(partner) + PauliOperator.from_string(sym)
         )
@@ -168,7 +185,7 @@ def taper(hamiltonian: PauliOperator, symmetries, sector) -> PauliOperator:
         axes = {}
         for q, axis in string.factors:
             if q in tapered:
-                _, partner, sign = tapered[q]
+                _, sign, partner = tapered[q]
                 if axis != partner.axis_on(q):
                     raise SingularSystemError(
                         f"tapered qubit {q} carries {axis} after conjugation"

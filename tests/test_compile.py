@@ -1,16 +1,18 @@
 """The compiled program against the op-by-op ``run`` and a dense oracle.
 
-``compile_circuit`` folds each maximal run of adjacent ops whose joint
-support has at most two qubits, or lies entirely below ``LOW_QUBITS``, into
-one FusedBlock, whose matrix the kernel builds.  A block below
-``LOW_QUBITS`` applies as one matrix product over qubits 0..max(support);
-every other block writes quarter-slices.  One oracle is ``run``, which
-applies every op through the same kernel; the independent one is the
-product of dense references: each gate's ``gate_matrix`` embedded with
-``np.kron`` and scipy's ``expm`` of each rotation's string.  The low-block
-strategy draws supports that skip low qubits (such as {1, 3}), so a matrix
-built over the support alone, a transposed matrix or a reshape to the
-support's width fails it.
+``compile_circuit`` folds each maximal run of adjacent ops whose window spans
+at most ``WINDOW`` qubits into one FusedBlock, whose matrix the kernel builds
+over every qubit of the window.  A run's window is min(S)..max(S) of its
+joint support S, or 0..max(S) when min(S) < ``SHORT_ROWS``; the block
+applies as one matrix product on the state's view with the window as its
+middle axis.  One oracle is ``run``, which applies every op through the same
+kernel; the independent one is the product of dense references: each gate's
+``gate_matrix`` embedded with ``np.kron`` and scipy's ``expm`` (or the closed
+form cos I - i sin P) of each rotation's string.  The low-block and window
+strategies draw supports that skip qubits inside the window (such as
+{1, 3}), and place the window at qubit 0, at the top of the register and in
+between, so a matrix built over the support alone, a transposed matrix or a
+view with its axes swapped fails them.
 """
 
 import math
@@ -34,7 +36,8 @@ from quasimo.circuit import (
 from quasimo.model import create_model
 from quasimo.pauli import PauliOperator, PauliString
 from quasimo.simulator import (
-    LOW_QUBITS,
+    SHORT_ROWS,
+    WINDOW,
     FusedBlock,
     StateVector,
     compile_circuit,
@@ -54,8 +57,8 @@ angles = st.one_of(
 @st.composite
 def circuits(draw):
     """Random bound circuits built in segments; each segment's ops act inside
-    a pool of one to three qubits, so runs on two qubits form and runs that
-    would cross the two-qubit limit occur."""
+    a pool of one to three of up to six qubits, so runs that fit a window
+    form and runs whose window would grow past ``WINDOW`` occur."""
     n = draw(st.integers(1, 6))
     ops = []
     for _ in range(draw(st.integers(0, 5))):
@@ -84,25 +87,35 @@ def test_program_matches_run_op_by_op(circuit, seed):
     program = compile_circuit(circuit)
     expected = run(circuit, initial).amplitudes
     assert np.allclose(program.run(initial).amplitudes, expected, rtol=0, atol=1e-12)
-    # An op on three or more qubits, one of them at or above LOW_QUBITS, is
-    # never fused: it stays its own step.
+    assert_block_structure(circuit, program)
+
+
+def window(qubits):
+    """The qubits a run on ``qubits`` (its joint support) spans."""
+    low = min(qubits) if min(qubits) >= SHORT_ROWS else 0
+    return tuple(range(low, max(qubits) + 1))
+
+
+def fusable(qubits):
+    """Whether ops on ``qubits`` jointly may form one FusedBlock."""
+    return len(window(qubits)) <= WINDOW
+
+
+def assert_block_structure(circuit, program):
+    # An op whose own window spans more than WINDOW qubits is never fused:
+    # it stays its own step.
     for op in circuit.ops:
         if not fusable(op.qubits):
             assert any(step is op for step in program.steps)
     for step in program.steps:
         if isinstance(step, FusedBlock):
+            assert step.qubits == window(step.qubits)
             assert fusable(step.qubits)
-            width = step.qubits[-1] + 1 if step.qubits[-1] < LOW_QUBITS else len(step.qubits)
-            assert len(step.matrix) == 2**width
+            assert len(step.matrix) == 2 ** len(step.qubits)
             assert np.allclose(step.matrix.conj().T @ step.matrix, np.eye(len(step.matrix)))
     # Runs are maximal: no two neighbouring steps fuse together.
     for first, second in zip(program.steps, program.steps[1:]):
         assert not fusable(set(first.qubits) | set(second.qubits))
-
-
-def fusable(qubits):
-    """Whether ops on ``qubits`` jointly may form one FusedBlock."""
-    return len(qubits) <= 2 or max(qubits) < LOW_QUBITS
 
 
 def shifted(circuit, offset):
@@ -117,26 +130,35 @@ def shifted(circuit, offset):
 
 
 @settings(max_examples=100, deadline=None)
-@given(circuits(), st.integers(0, 2**32 - 1))
-def test_blocks_above_low_qubits_fold_on_two_qubits_and_match_run(circuit, seed):
-    # Moved above LOW_QUBITS, runs fold only while they fit on two qubits and
-    # every block writes quarter-slices.
-    circuit = shifted(circuit, LOW_QUBITS)
+@given(circuits(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_shifted_blocks_keep_their_window_and_match_run(circuit, offset, seed):
+    # Moved up to SHORT_ROWS or above, no window starts at qubit 0: each one is
+    # its run's support range, applied as a batched product (or one product
+    # at the top of the register).
+    circuit = shifted(circuit, SHORT_ROWS + offset)
     n = circuit.num_qubits
     initial = StateVector(n, random_state(n, np.random.default_rng(seed)))
     program = compile_circuit(circuit)
     expected = run(circuit, initial).amplitudes
     assert np.allclose(program.run(initial).amplitudes, expected, rtol=0, atol=1e-12)
+    assert_block_structure(circuit, program)
     for step in program.steps:
         if isinstance(step, FusedBlock):
-            assert len(step.qubits) <= 2
-    for first, second in zip(program.steps, program.steps[1:]):
-        assert len(set(first.qubits) | set(second.qubits)) > 2
+            assert step.qubits[0] >= SHORT_ROWS + offset
 
 
 def dense_reference(op, n):
     if isinstance(op, PauliRotation):
         return expm(-1j * op.angle * PauliOperator.from_string(op.string).to_matrix(n))
+    return embedded(op, n)
+
+
+def closed_form_reference(op, n):
+    """``dense_reference`` with exp(-i*a*P) written out as cos(a) I - i sin(a) P
+    (P squares to I): at 9 qubits several times cheaper than ``expm``."""
+    if isinstance(op, PauliRotation):
+        string = PauliOperator.from_string(op.string).to_matrix(n)
+        return math.cos(op.angle) * np.eye(2**n) - 1j * math.sin(op.angle) * string
     return embedded(op, n)
 
 
@@ -152,29 +174,32 @@ def test_program_matches_the_dense_product_of_references(circuit, seed):
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
-@st.composite
-def low_circuits(draw):
-    """Random bound circuits on 4 to 8 qubits whose ops all act below
-    LOW_QUBITS: gates of every kind and rotations on 1 to LOW_QUBITS
-    qubits, inside a pool of qubits that often skips qubit 0 or others
-    below the pool's highest."""
-    n = draw(st.integers(4, 8))
-    low = min(n, LOW_QUBITS)
-    pool = draw(st.lists(st.integers(0, low - 1), min_size=1, max_size=low, unique=True))
+def pool_ops(draw, pool, count):
+    """``count`` random bound ops inside ``pool``: gates of every kind that
+    fits and rotations on 1 to len(pool) of its qubits."""
+    kinds = sorted(kind for kind, (arity, _) in GATE_KINDS.items() if arity <= len(pool))
     ops = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(count):
         if draw(st.booleans()):
             support = draw(st.permutations(pool))[: draw(st.integers(1, len(pool)))]
             axes = [draw(st.sampled_from("XYZ")) for _ in support]
             ops.append(PauliRotation(PauliString(dict(zip(support, axes))), draw(angles)))
             continue
-        kind = draw(st.sampled_from(sorted(GATE_KINDS)))
+        kind = draw(st.sampled_from(kinds))
         arity, takes_angle = GATE_KINDS[kind]
-        if arity > len(pool):
-            continue
         qubits = draw(st.permutations(pool))[:arity]
         ops.append(Gate(kind, qubits, draw(angles) if takes_angle else None))
-    return Circuit(n, tuple(ops))
+    return ops
+
+
+@st.composite
+def low_circuits(draw):
+    """Random bound circuits on 4 to 8 qubits whose ops all act below
+    WINDOW, inside a pool of qubits that often skips qubit 0 or others below
+    the pool's highest."""
+    n = draw(st.integers(4, 8))
+    pool = draw(st.lists(st.integers(0, WINDOW - 1), min_size=1, max_size=WINDOW, unique=True))
+    return Circuit(n, tuple(pool_ops(draw, pool, draw(st.integers(1, 8)))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,8 +214,45 @@ def test_low_blocks_match_the_dense_product_and_run(circuit, seed):
     got = program.run(initial).amplitudes
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
     assert np.allclose(got, run(circuit, initial).amplitudes, rtol=0, atol=1e-12)
-    # Every op lies below LOW_QUBITS, so the whole circuit folds into one step.
+    # Every op lies below WINDOW, so the whole circuit folds into one step.
     assert len(program.steps) <= 1
+
+
+@st.composite
+def placed_circuits(draw):
+    """(circuit, window): random bound circuits on 4 to 9 qubits whose ops
+    all fall inside one window of 1 to WINDOW qubits placed at qubit 0, at
+    SHORT_ROWS or anywhere above it, the top of the register included.  The
+    first op is a rotation on the window's two ends, so the run spans all of
+    it; the others act inside a pool that often skips qubits between them."""
+    n = draw(st.integers(4, 9))
+    width = draw(st.integers(1, WINDOW))
+    lo = draw(st.sampled_from([0, *range(SHORT_ROWS, n - width + 1)]))
+    hi = lo + width - 1
+    ends = {lo: draw(st.sampled_from("XYZ")), hi: draw(st.sampled_from("XYZ"))}
+    ops = [PauliRotation(PauliString(ends), draw(angles))]
+    pool = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=width, unique=True))
+    ops += pool_ops(draw, pool, draw(st.integers(1, 8)))
+    return Circuit(n, tuple(ops)), tuple(range(lo, hi + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(placed_circuits(), st.integers(0, 2**32 - 1))
+def test_blocks_at_every_window_placement_match_the_dense_product(case, seed):
+    # Each view shape runs: a window from qubit 0 (the 2-D view), one ending
+    # at the top qubit (a single product) and one in between (batched).
+    circuit, placed = case
+    n = circuit.num_qubits
+    initial = StateVector(n, random_state(n, np.random.default_rng(seed)))
+    expected = initial.amplitudes
+    for op in circuit.ops:
+        expected = closed_form_reference(op, n) @ expected
+    program = compile_circuit(circuit)
+    assert np.allclose(program.run(initial).amplitudes, expected, rtol=0, atol=1e-12)
+    (block,) = program.steps
+    assert isinstance(block, FusedBlock)
+    assert block.qubits == placed
+    assert len(block.matrix) == 2 ** len(placed)
 
 
 def test_program_leaves_the_initial_state_unchanged(rng):
@@ -201,20 +263,19 @@ def test_program_leaves_the_initial_state_unchanged(rng):
     assert np.array_equal(initial.amplitudes, before)
 
 
-def test_sixteen_spin_symmetric_xxz_step_compiles_to_23_fused_steps():
+def test_sixteen_spin_symmetric_xxz_step_compiles_to_9_fused_steps():
     model = create_model("heisenberg", {"num_spins": 16, "Jz": 0.25})
     step = symmetric_trotter_step(model.hamiltonian, 0.05, 16)
     program = compile_circuit(step)
     assert len(step.ops) == 90
     assert all(isinstance(s, FusedBlock) for s in program.steps)
-    # Bonds (0,1)..(3,4) fold into one low block at each end of the step; the
-    # 11 bonds from (4,5) up stay two-qubit blocks, the top one run once.
-    low = (0, 1, 2, 3, 4)
-    assert len(program.steps[0].matrix) == 2**5
-    assert [s.qubits for s in program.steps] == (
-        [low] + [(q, q + 1) for q in range(4, 15)] + [(q, q + 1) for q in range(13, 3, -1)] + [low]
-    )
-    assert len(program.steps) == 23
+    # Bonds fold three at a time into 4-qubit windows: (0,1)..(2,3) on 0..3,
+    # (3,4)..(5,6) on 3..6 and so on up to 12..15, where the top bond runs
+    # once and the way back down starts; the way down mirrors the way up.
+    up = [tuple(range(lo, lo + 4)) for lo in (0, 3, 6, 9)]
+    assert [s.qubits for s in program.steps] == up + [(12, 13, 14, 15)] + up[::-1]
+    assert all(len(s.matrix) == 2**4 for s in program.steps)
+    assert len(program.steps) == 9
 
 
 def test_compiling_an_unbound_circuit_raises():
