@@ -6,6 +6,8 @@ never be worse than any point actually visited.
 """
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +27,55 @@ class NonFiniteObjectiveError(ValueError):
     """The objective returned NaN or an infinity."""
 
 
+class Trace(Sequence):
+    """Every objective value in evaluation order, read as (index, value) pairs.
+
+    The values live in one array of doubles, 8 bytes per evaluation; item i is
+    the pair ``(i, value)`` of Python ``int`` and ``float``, and negative
+    indices count from the end.  A trace equals another trace with the same
+    values, or a list or tuple of the same pairs.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values=()):
+        self.values = array("d", values)
+
+    def append(self, value: float) -> None:
+        self.values.append(value)
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [(i, self.values[i]) for i in range(*index.indices(len(self.values)))]
+        value = self.values[index]
+        return (index % len(self.values), value)
+
+    def __iter__(self):
+        return enumerate(self.values)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return self.values == other.values
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Trace({self.values.tolist()!r})"
+
+
 @dataclass
 class OptResult:
+    """An optimizer run: the best point evaluated and its value, every
+    evaluation's value as a ``Trace`` of (index, value) pairs, and the number
+    of evaluations spent."""
+
     best_params: np.ndarray
     best_value: float
-    trace: list = field(default_factory=list)  # (evaluation index, value)
+    trace: Trace = field(default_factory=Trace)
     evaluations_used: int = 0
 
 
@@ -44,7 +90,7 @@ class _Tracker:
         self.f = f
         self.budget = budget
         self.count = 0
-        self.trace = []
+        self.trace = Trace()
         self.best_value = np.inf
         self.best_params = None
 
@@ -54,7 +100,7 @@ class _Tracker:
         value = float(self.f(np.asarray(x, dtype=float)))
         if not math.isfinite(value):
             raise NonFiniteObjectiveError(f"objective evaluation {self.count} returned {value!r}")
-        self.trace.append((self.count, value))
+        self.trace.append(value)
         self.count += 1
         if value < self.best_value:
             self.best_value = value

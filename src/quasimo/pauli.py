@@ -172,11 +172,13 @@ class PauliOperator:
     scalar/constant offsets.
 
     ``_compiled`` is the simulator's memo of the operator's expectation form
-    on one register width (see ``simulator.expectation``).  It is replaced
-    whole, never mutated, and takes no part in equality, hashing or printing.
+    on one register width (see ``simulator.expectation``), and ``_sampled``
+    the cost function's memo of its sampled-tomography form on one width and
+    seed (see ``costfn``).  Each is replaced whole, never mutated, and takes
+    no part in equality, hashing or printing.
     """
 
-    __slots__ = ("_terms", "_compiled")
+    __slots__ = ("_terms", "_compiled", "_sampled")
 
     def __init__(self, terms=None):
         merged = {}
@@ -192,6 +194,7 @@ class PauliOperator:
         pruned = {s: c for s, c in merged.items() if abs(c) >= COEFF_EPS}
         object.__setattr__(self, "_terms", pruned)
         object.__setattr__(self, "_compiled", None)
+        object.__setattr__(self, "_sampled", None)
 
     # -- constructors ------------------------------------------------------
 

@@ -40,8 +40,8 @@ width, into the real diagonal D of its Z-only terms (the constant included)
 and the tuple of its X/Y-bearing terms, and memoises both on the immutable
 operator.  Every Z-only term is then read at once as D . |psi|^2, one float
 temporary and one dot; each remaining term still takes one kernel call and a
-vdot.  Sampled tomography (``costfn``) measures term by term and does not use
-the memo.
+vdot.  Sampled tomography (``costfn``) keeps its own compiled form of the
+operator, grouped by x mask, and does not use this memo.
 """
 
 from dataclasses import dataclass, field

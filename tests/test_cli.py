@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from quasimo import optimizer as optimizer_mod
 from quasimo import workflow as workflow_mod
 from quasimo.cli import main
 
@@ -419,6 +420,35 @@ def test_bundled_configs_run_clean(name, tmp_path):
         ["run", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path), "--quiet"]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("name", ["vqe_h2_spsa", "vqe_h2_tapered", "qaoa_star8"])
+def test_compact_trace_writes_the_csv_of_index_value_tuples(name, tmp_path, monkeypatch):
+    # Every trace the run makes also keeps its (index, value) tuples, as the
+    # trace once stored them; the CSV, written from the compact trace, must
+    # be byte for byte the one those tuples give in the "eval,energy" layout.
+    traces = []
+
+    class TupleKeepingTrace(optimizer_mod.Trace):
+        __slots__ = ("pairs",)
+
+        def __init__(self):
+            super().__init__()
+            self.pairs = []
+            traces.append(self)
+
+        def append(self, value):
+            super().append(value)
+            self.pairs.append((len(self.pairs), value))
+
+    monkeypatch.setattr(optimizer_mod, "Trace", TupleKeepingTrace)
+    config = CONFIG_DIR / f"{name}.json"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    written = (tmp_path / f"{name}.csv").read_bytes()
+    layouts = {
+        ("eval,energy\n" + "".join(f"{k},{v!r}\n" for k, v in t.pairs)).encode() for t in traces
+    }
+    assert written in layouts
 
 
 def test_validate_identical_files_rmse(tmp_path):

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 from functools import reduce
 from unittest import mock
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasimo import costfn
 from quasimo.circuit import Circuit, WidthMismatchError, basis_change_gates, h, rx, ry, x
 from quasimo.costfn import (
     MAX_SHOTS,
@@ -15,9 +18,15 @@ from quasimo.costfn import (
     evaluate,
     evaluate_state,
 )
-from quasimo.model import bits_prep, staggered_magnetization
+from quasimo.model import bits_prep, create_model, staggered_magnetization
 from quasimo.pauli import PauliOperator, PauliString, X, Y, Z
-from quasimo.simulator import NonHermitianError, StateVector, expectation, run
+from quasimo.simulator import (
+    NonHermitianError,
+    StateVector,
+    apply_pauli_string,
+    expectation,
+    run,
+)
 
 from conftest import gate_matrix, random_circuit, random_hermitian, random_state
 
@@ -147,23 +156,165 @@ def test_tomography_draws_use_dense_even_parity_mass(case, seed):
     n, obs, state_seed = case
     amps = random_state(n, np.random.default_rng(state_seed))
     draws = []
-    default_rng = np.random.default_rng
 
-    class RecordingRng:
-        def __init__(self, stream):
-            self.stream, self.rng = stream, default_rng(stream)
+    class RecordingGenerator:
+        """Stands in for the thread's generator: records the stream state each
+        draw starts from and the p_even it is given."""
+
+        def __init__(self):
+            self.generator = np.random.default_rng()
+            self.bit_generator = self.generator.bit_generator
 
         def binomial(self, shots, p_even):
-            draws.append((self.stream, p_even))
-            return self.rng.binomial(shots, p_even)
+            draws.append((self.bit_generator.state, p_even))
+            return self.generator.binomial(shots, p_even)
 
-    with mock.patch.object(np.random, "default_rng", RecordingRng):
+    recorder = RecordingGenerator()
+    with mock.patch.object(costfn, "_thread_generator", lambda: recorder):
         evaluate_state(StateVector(n, amps), obs, EvaluatorConfig(shots=64, seed=seed))
     measured = [(k, s) for k, (s, _) in enumerate(obs.terms()) if not s.is_identity]
-    assert [stream for stream, _ in draws] == [[seed, k] for k, _ in measured]
+    # Each draw starts where a fresh default_rng([seed, k]) starts, in term order.
+    streams = [np.random.default_rng([seed, k]).bit_generator.state for k, _ in measured]
+    assert [state for state, _ in draws] == streams
     for (_, p_even), (_, string) in zip(draws, measured):
         assert 0.0 <= p_even <= 1.0
         assert abs(p_even - _even_parity_mass(amps, string, n)) < 1e-12
+
+
+def _reference_tomography(state, obs, shots, seed):
+    """Sampled tomography term by term: P psi from the kernel, the parity
+    masses from two vdots, and a fresh default_rng([seed, k]) per term."""
+    amps, n = state.amplitudes, state.num_qubits
+    total = 0.0
+    for k, (string, coeff) in enumerate(obs.terms()):
+        if string.is_identity:
+            total += coeff.real
+            continue
+        flipped = apply_pauli_string(amps, string, n)
+        plus, minus = amps + flipped, amps - flipped
+        even, odd = np.vdot(plus, plus).real, np.vdot(minus, minus).real
+        hits = np.random.default_rng([seed, k]).binomial(shots, even / (even + odd))
+        total += coeff.real * (2 * hits - shots) / shots
+    return total
+
+
+@st.composite
+def shared_mask_observables(draw, max_qubits=5):
+    """(num_qubits, observable, state seed): terms drawn from one to three x
+    masks (the empty mask among them), so groups hold several terms, with Y
+    factors wherever x and z overlap, and a constant."""
+    n = draw(st.integers(1, max_qubits))
+    full = (1 << n) - 1
+    x_masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+    coefficients = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+    terms = {PauliString(): draw(coefficients)}
+    for _ in range(draw(st.integers(1, 8))):
+        x = draw(st.sampled_from(x_masks))
+        z = draw(st.integers(0, full))
+        if x | z:
+            terms[PauliString.from_masks(x, z)] = draw(coefficients)
+    return n, PauliOperator(terms), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_mask_observables(), st.sampled_from([1, 64, 1000]), st.integers(0, 2**16))
+def test_sampled_evaluation_equals_the_term_by_term_reference(case, shots, seed):
+    n, obs, state_seed = case
+    rng = np.random.default_rng(state_seed)
+    cfg = EvaluatorConfig(shots=shots, seed=seed)
+    # Two states, then the second seed: the compiled form and the saved
+    # streams are reused, then the streams are replaced.
+    for cfg in (cfg, cfg, EvaluatorConfig(shots, seed + 1)):
+        state = StateVector(n, random_state(n, rng))
+        assert evaluate_state(state, obs, cfg) == _reference_tomography(
+            state, obs, cfg.shots, cfg.seed
+        )
+
+
+@pytest.mark.parametrize("n, chunk", [(5, 1), (5, 64), (14, costfn.CHUNK_AMPLITUDES)])
+def test_groups_taken_in_chunks_equal_the_reference(n, chunk, monkeypatch, rng):
+    # A group takes max(1, chunk >> n) terms at a time: one or two at n = 5,
+    # and four of the 27 Z-only terms at n = 14 under the shipped constant.
+    monkeypatch.setattr(costfn, "CHUNK_AMPLITUDES", chunk)
+    obs = create_model("heisenberg", {"num_spins": n, "Jz": 0.25, "h_ext": 0.3}).hamiltonian
+    obs = obs + PauliOperator.identity(0.7)
+    for seed in (1, 2):
+        state = StateVector(n, random_state(n, rng))
+        cfg = EvaluatorConfig(shots=1000, seed=seed)
+        assert evaluate_state(state, obs, cfg) == _reference_tomography(state, obs, 1000, seed)
+
+
+def test_threads_with_distinct_seeds_match_sequential_calls(rng):
+    # More threads than cores, switching often, all on one operator: each
+    # thread's draws must be those of its own seed's sequential calls.
+    n = 4
+    obs = create_model("h2", {}).observable
+    states = [StateVector(n, random_state(n, rng)) for _ in range(30)]
+    seeds = (11, 12, 13, 14)
+    expected = {
+        seed: [evaluate_state(s, obs, EvaluatorConfig(1000, seed)) for s in states]
+        for seed in seeds
+    }
+    barrier = threading.Barrier(len(seeds))
+    got = {}
+
+    def worker(seed):
+        barrier.wait()
+        got[seed] = [evaluate_state(s, obs, EvaluatorConfig(1000, seed)) for s in states]
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+    assert len({tuple(values) for values in expected.values()}) == len(seeds)
+
+
+MIXED_OBSERVABLE = PauliOperator.identity(0.5) + X(0) * X(1) + 0.3 * Z(1) + 0.2 * Y(0)
+
+
+@pytest.mark.parametrize(
+    "amps, squared_norm",
+    [
+        ([0, 0, 0, 0], "0.0"),
+        ([np.nan, 0, 0, 1], "nan"),
+        ([2, 0, 0, 0], "4.0"),
+        ([1, 0, 0, 1e-3], "1.000001"),
+    ],
+)
+def test_tomography_refuses_an_unnormalised_state(amps, squared_norm):
+    state = StateVector(2, np.array(amps, dtype=complex))
+    with pytest.raises(ValueError, match=f"squared norm is {squared_norm}"):
+        evaluate_state(state, MIXED_OBSERVABLE, EvaluatorConfig(shots=100, seed=1))
+
+
+def test_tomography_samples_a_state_within_the_norm_tolerance():
+    # A squared norm 2e-10 from 1 is rounding drift, well inside SAMPLE_NORM_TOL.
+    state = StateVector(2, np.array([1 + 1e-10, 0, 0, 0], dtype=complex))
+    cfg = EvaluatorConfig(shots=100, seed=1)
+    expected = _reference_tomography(state, MIXED_OBSERVABLE, 100, 1)
+    assert evaluate_state(state, MIXED_OBSERVABLE, cfg) == expected
+
+
+def test_compiled_tomography_is_kept_per_width_and_seed(rng):
+    obs = create_model("h2", {}).observable
+    state = StateVector(4, random_state(4, rng))
+    evaluate_state(state, obs, EvaluatorConfig(100, 3))
+    memo = obs._sampled
+    evaluate_state(state, obs, EvaluatorConfig(100, 3))
+    assert obs._sampled is memo
+    evaluate_state(state, obs, EvaluatorConfig(100, 4))
+    assert obs._sampled[2] is memo[2] and obs._sampled[1] == 4
+    evaluate_state(StateVector(5, random_state(5, rng)), obs, EvaluatorConfig(100, 4))
+    assert obs._sampled[0] == 5
+    assert obs._compiled is None  # the exact path's memo is separate
 
 
 def test_tomography_term_mean_and_variance_over_seeds():

@@ -7,6 +7,7 @@ from quasimo.costfn import EvaluatorConfig, evaluate
 from quasimo.optimizer import (
     BudgetTooSmallError,
     NonFiniteObjectiveError,
+    Trace,
     create_optimizer,
     nelder_mead_minimize,
     spsa_minimize,
@@ -134,3 +135,22 @@ def test_nan_start_raises_at_the_first_evaluation(name):
     opt = create_optimizer(name, {"budget": 200, "seed": 1})
     with pytest.raises(NonFiniteObjectiveError, match="evaluation 0 returned nan"):
         opt.minimize(objective, np.array([np.nan, 0.0]))
+
+
+def test_trace_reads_as_index_value_pairs():
+    result = nelder_mead_minimize(quadratic, np.array([0.3]), budget=12)
+    trace = result.trace
+    assert len(trace) == result.evaluations_used == 12
+    assert trace.values.typecode == "d"  # one array of doubles, 8 bytes per evaluation
+    pairs = list(trace)
+    assert all(type(k) is int and type(v) is float for k, v in pairs)
+    assert [k for k, _ in pairs] == list(range(12))
+    assert pairs[0] == (0, quadratic(np.array([0.3])))
+    assert trace[-1] == (11, pairs[-1][1]) and trace[-12] == pairs[0]
+    assert trace[2:4] == pairs[2:4]
+    with pytest.raises(IndexError):
+        trace[12]
+    assert trace == Trace(v for _, v in pairs) and trace == pairs
+    assert trace != Trace(v for _, v in pairs[:-1]) and trace != pairs[1:]
+    assert min(v for _, v in trace) == result.best_value
+
