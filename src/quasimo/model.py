@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from . import ansatz
 from .circuit import Circuit, cnot, h as h_gate, x
 from .optimizer import as_int, config_value
-from .pauli import PauliOperator, X, Y, Z, parse
+from .pauli import PauliOperator, PauliString, parse
 
 H2_DATA_FILE = "h2_4q.op"
 
@@ -101,10 +101,8 @@ def staggered_magnetization(num_spins: int) -> PauliOperator:
 
     The alternating sign starts positive at site 0; |0> is spin-up.
     """
-    op = PauliOperator.zero()
-    for i in range(num_spins):
-        op = op + ((-1) ** i) * Z(i)
-    return (1.0 / num_spins) * op
+    weight = 1.0 / num_spins
+    return PauliOperator((PauliString({i: "Z"}), (-1) ** i * weight) for i in range(num_spins))
 
 
 def _bits(values) -> list:
@@ -136,14 +134,11 @@ def create_heisenberg(params: HeisenbergParams) -> QuantumSimulationModel:
     if params.num_spins < 2:
         raise ValueError("Heisenberg chain needs at least 2 spins")
     n = params.num_spins
-    h = PauliOperator.zero()
-    for i in range(n - 1):
-        h = h + params.jx * (X(i) * X(i + 1))
-        h = h + params.jy * (Y(i) * Y(i + 1))
-        h = h + params.jz * (Z(i) * Z(i + 1))
+    couplings = (("X", params.jx), ("Y", params.jy), ("Z", params.jz))
+    terms = [(PauliString({i: a, i + 1: a}), c) for i in range(n - 1) for a, c in couplings]
     if params.h_ext != 0.0:
-        for i in range(n):
-            h = h + params.h_ext * Z(i)
+        terms += [(PauliString({i: "Z"}), params.h_ext) for i in range(n)]
+    h = PauliOperator(terms)
     if params.observable_name == "staggered_magnetization":
         observable = staggered_magnetization(n)
     elif params.observable_name == "energy":
@@ -166,11 +161,8 @@ def create_tfim(jz: float, hx: float, num_spins: int) -> QuantumSimulationModel:
     H = jz * sum Z_i Z_{i+1} + hx * sum X_i."""
     if num_spins < 2:
         raise ValueError("TFIM chain needs at least 2 spins")
-    h = PauliOperator.zero()
-    for i in range(num_spins - 1):
-        h = h + jz * (Z(i) * Z(i + 1))
-    for i in range(num_spins):
-        h = h + hx * X(i)
+    bonds = [(PauliString({i: "Z", i + 1: "Z"}), jz) for i in range(num_spins - 1)]
+    h = PauliOperator(bonds + [(PauliString({i: "X"}), hx) for i in range(num_spins)])
     return QuantumSimulationModel(
         observable=h,
         state_prep=Circuit(num_spins),
@@ -183,10 +175,9 @@ def create_star_maxcut(num_qubits: int) -> QuantumSimulationModel:
     H_C = sum_{k>=1} -0.5 * (1 - Z_0 Z_k), ground energy -(n-1)."""
     if num_qubits < 2:
         raise ValueError("star graph needs at least 2 qubits")
-    h = PauliOperator.zero()
-    for k in range(1, num_qubits):
-        h = h + (-0.5) * (PauliOperator.identity(1.0) - Z(0) * Z(k))
-    return QuantumSimulationModel(observable=h, name="star-maxcut")
+    constant = (PauliString(), -0.5 * (num_qubits - 1))
+    edges = [(PauliString({0: "Z", k: "Z"}), 0.5) for k in range(1, num_qubits)]
+    return QuantumSimulationModel(observable=PauliOperator([constant] + edges), name="star-maxcut")
 
 
 def create_from_parts(
@@ -306,6 +297,10 @@ def _tfim_from_options(options: dict) -> QuantumSimulationModel:
 
 
 def _initial_state_prep(values: dict, num_qubits: int) -> Circuit | None:
+    if "initial_spins" in values and "initial-state" in values:
+        raise ValueError(
+            "config keys 'initial_spins' and 'initial-state' both set the initial state; give one"
+        )
     if "initial_spins" in values:
         return _spins_prep("initial_spins", values["initial_spins"], num_qubits)
     if "initial-state" in values:

@@ -178,7 +178,7 @@ class PauliOperator:
     no part in equality, hashing or printing.
     """
 
-    __slots__ = ("_terms", "_compiled", "_sampled")
+    __slots__ = ("_terms", "_width", "_hermitian", "_compiled", "_sampled")
 
     def __init__(self, terms=None):
         merged = {}
@@ -188,11 +188,19 @@ class PauliOperator:
                 if not isinstance(string, PauliString):
                     raise TypeError(f"term keys must be PauliString, got {type(string).__name__}")
                 merged[string] = merged.get(string, 0j) + complex(coeff)
+        pruned = {}
+        support = 0
+        hermitian = True
         for string, coeff in merged.items():
             if not cmath.isfinite(coeff):
                 raise ValueError(f"coefficient of {string} is not finite: {coeff!r}")
-        pruned = {s: c for s, c in merged.items() if abs(c) >= COEFF_EPS}
+            if abs(coeff) >= COEFF_EPS:
+                pruned[string] = coeff
+                support |= string.x | string.z
+                hermitian = hermitian and abs(coeff.imag) < COEFF_EPS
         object.__setattr__(self, "_terms", pruned)
+        object.__setattr__(self, "_width", support.bit_length())
+        object.__setattr__(self, "_hermitian", hermitian)
         object.__setattr__(self, "_compiled", None)
         object.__setattr__(self, "_sampled", None)
 
@@ -229,12 +237,14 @@ class PauliOperator:
 
     @property
     def width(self) -> int:
-        """1 + highest qubit index referenced by any term."""
-        return max((s.width for s in self._terms), default=0)
+        """1 + highest qubit index referenced by any term (fixed at construction)."""
+        return self._width
 
     @property
     def is_hermitian(self) -> bool:
-        return all(abs(c.imag) < COEFF_EPS for c in self._terms.values())
+        """No coefficient has an imaginary part of ``COEFF_EPS`` or more
+        (fixed at construction)."""
+        return self._hermitian
 
     @property
     def is_zero(self) -> bool:
@@ -247,6 +257,10 @@ class PauliOperator:
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other):
+        """The sum as a new operator.  Each ``+`` copies every term of both
+        sides, so a loop that adds T terms one by one costs O(T^2); collect
+        (PauliString, coefficient) pairs instead and construct the operator
+        once, which merges duplicates and prunes just as ``+`` does."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

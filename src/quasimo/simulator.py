@@ -255,34 +255,44 @@ def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
 
 
 def _execute(ops, n: int, initial) -> StateVector:
-    """Apply ``ops`` (circuit ops and FusedBlocks) in order to a copy of the
-    initial state."""
+    """Apply ``ops`` (circuit ops and FusedBlocks) in order to the initial
+    state; returns a new state and never writes to ``initial``.
+
+    A caller's StateVector is not copied up front: FusedBlocks and gates
+    read their input and return a new array, and a PauliRotation, which
+    rotates the run's own array in place, writes to a new array while
+    ``amps`` is still the caller's.  Only when no step runs is the caller's
+    array copied, once, at the end.
+    """
+    owned = True
     if initial is None:
-        state = StateVector.zero(n)
+        amps = StateVector.zero(n).amplitudes
     elif isinstance(initial, StateVector):
         if initial.num_qubits != n:
             raise WidthMismatchError(
                 f"{initial.num_qubits}-qubit state fed to a {n}-qubit circuit"
             )
-        state = initial.copy()
+        amps, owned = initial.amplitudes, False
     else:
-        state = StateVector.basis(n, int(initial))
-    amps = state.amplitudes
+        amps = StateVector.basis(n, int(initial)).amplitudes
     for op in ops:
         if isinstance(op, FusedBlock):
             amps = op.apply(amps)
         elif isinstance(op, PauliRotation):
-            _pauli_rotation(amps, op.string.factors, op.angle, n, out=amps)
+            out = amps if owned else None
+            amps = _pauli_rotation(amps, op.string.factors, op.angle, n, out=out)
         else:
             amps = apply_gate(amps, op, n)
-    return StateVector(n, amps)
+        owned = True
+    return StateVector(n, amps if owned else amps.copy())
 
 
 def run(circuit: Circuit, initial=None) -> StateVector:
     """Execute a fully bound circuit, op by op.
 
     ``initial`` may be None (all-zeros state), a basis-state index, or a
-    StateVector of matching width.
+    StateVector of matching width, which is never modified; the result never
+    shares memory with it.
 
     Raises:
         UnboundParametersError: the circuit still has symbolic parameters.
@@ -349,7 +359,10 @@ class Program:
     steps: tuple  # circuit ops and FusedBlocks, in program order
 
     def run(self, initial=None) -> StateVector:
-        """Same contract as ``run(circuit, initial)``."""
+        """Same contract as ``run(circuit, initial)``: ``initial`` is never
+        modified, and the result never shares memory with it.  A
+        StateVector's amplitudes are read in place, not copied first (see
+        ``_execute``)."""
         return _execute(self.steps, self.num_qubits, initial)
 
 

@@ -330,6 +330,16 @@ def test_nan_initial_params_name_the_evaluation(optimizer, evaluator, tmp_path, 
     assert "'initial-params'" in capsys.readouterr().err
 
 
+def test_tfim_with_both_initial_state_keys_exits_2_naming_both(tmp_path, capsys):
+    config = with_value(QITE, "model", None,
+                        {"kind": "tfim", "num_spins": 3, "initial_spins": [1, 0, 0],
+                         "initial-state": "ghz"})
+    config = write_config(tmp_path / "cfg.json", config)
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "'initial_spins'" in err and "'initial-state'" in err
+
+
 # Config errors only the model can reveal: checked before the run, still exit 2.
 MODEL_DEPENDENT = [
     ("vqe-initial-params-length", "initial-params",

@@ -46,7 +46,7 @@ from quasimo.simulator import (
 )
 from quasimo.workflow import get_workflow
 
-from conftest import embedded, random_state
+from conftest import embedded, random_circuit, random_state
 
 angles = st.one_of(
     st.sampled_from([0.0, math.pi, -math.pi]),
@@ -261,6 +261,75 @@ def test_program_leaves_the_initial_state_unchanged(rng):
     before = initial.amplitudes.copy()
     compile_circuit(circuit).run(initial)
     assert np.array_equal(initial.amplitudes, before)
+
+
+def run_both_read_only(circuit, initial):
+    """``run`` and ``Program.run`` from ``initial``, whose amplitudes are made
+    read-only so that any write to them raises.  Checks that neither result
+    shares memory with them and that they are unchanged."""
+    before = initial.amplitudes.copy()
+    initial.amplitudes.flags.writeable = False
+    program = compile_circuit(circuit)
+    results = [run(circuit, initial), program.run(initial)]
+    for result in results:
+        assert not np.shares_memory(result.amplitudes, initial.amplitudes)
+        assert result.amplitudes.flags.writeable
+    assert np.array_equal(initial.amplitudes, before)
+    return program, results
+
+
+# Two rotations whose windows span more than WINDOW qubits stay kernel steps.
+WIDE_ROTATION = PauliRotation(PauliString({0: "X", 5: "Y"}), 0.4)
+OTHER_WIDE_ROTATION = PauliRotation(PauliString({1: "Z", 5: "X"}), -0.7)
+FIRST_STEPS = {
+    "empty": (Circuit(6), None),
+    "rotation": (
+        Circuit(6, (WIDE_ROTATION, OTHER_WIDE_ROTATION, Gate("H", (5,)))), PauliRotation
+    ),
+    "gate": (Circuit(6, (Gate("H", (0,)), WIDE_ROTATION)), Gate),
+    "fused": (Circuit(6, (Gate("H", (0,)), Gate("CNOT", (0, 1)), WIDE_ROTATION)), FusedBlock),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_STEPS))
+def test_runs_never_write_to_or_alias_the_initial_state(case, rng):
+    circuit, first_step = FIRST_STEPS[case]
+    initial = StateVector(6, random_state(6, rng))
+    program, (by_op, compiled) = run_both_read_only(circuit, initial)
+    if first_step is None:
+        assert program.steps == ()
+        assert np.array_equal(by_op.amplitudes, initial.amplitudes)
+        assert np.array_equal(compiled.amplitudes, initial.amplitudes)
+    else:
+        assert isinstance(program.steps[0], first_step)
+        assert np.allclose(compiled.amplitudes, by_op.amplitudes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_circuit_runs_never_write_to_or_alias_the_initial_state(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    circuit = random_circuit(n, int(rng.integers(0, 12)), rng)
+    run_both_read_only(circuit, StateVector(n, random_state(n, rng)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(), st.integers(0, 2**32 - 1))
+def test_mixed_circuit_runs_never_write_to_or_alias_the_initial_state(circuit, seed):
+    n = circuit.num_qubits
+    run_both_read_only(circuit, StateVector(n, random_state(n, np.random.default_rng(seed))))
+
+
+@pytest.mark.parametrize("initial", [None, 0, 5])
+@pytest.mark.parametrize("case", sorted(FIRST_STEPS))
+def test_runs_from_none_or_a_basis_index_return_a_fresh_state_each_time(case, initial):
+    circuit = FIRST_STEPS[case][0]
+    expected = run(circuit, StateVector.basis(6, initial or 0)).amplitudes
+    program = compile_circuit(circuit)
+    for execute in (lambda: run(circuit, initial), lambda: program.run(initial)):
+        first, second = execute(), execute()
+        assert not np.shares_memory(first.amplitudes, second.amplitudes)
+        assert np.allclose(first.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 def test_sixteen_spin_symmetric_xxz_step_compiles_to_9_fused_steps():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasimo.ansatz import hardware_efficient, rx_ry
 from quasimo.circuit import Circuit
@@ -18,8 +20,9 @@ from quasimo.model import (
     create_tfim,
     list_models,
     load_h2_hamiltonian,
+    staggered_magnetization,
 )
-from quasimo.pauli import PauliOperator, PauliString, X, Z, parse
+from quasimo.pauli import PauliOperator, PauliString, X, Y, Z, parse
 from quasimo.simulator import expectation, run
 from quasimo.validation import exact_ground_energy
 
@@ -217,3 +220,105 @@ def test_integral_spin_spellings_convert():
     assert HeisenbergParams(num_spins=3, initial_spins=[1.0, "0", 1]).initial_spins == [1, 0, 1]
     assert bits_prep([1.0, "0", 1]) == bits_prep([1, 0, 1])
 
+
+def test_tfim_refuses_both_initial_state_keys():
+    options = {"num_spins": 3, "initial_spins": [1, 0, 0], "initial-state": "ghz"}
+    with pytest.raises(ValueError, match="'initial_spins' and 'initial-state'"):
+        create_model("tfim", options)
+
+
+# The builders assemble each operator in one constructor call.  These
+# references grow it one term at a time through ``+``, an independent path;
+# the two must agree coefficient for coefficient (``==`` is exact).
+
+
+def heisenberg_reference(jx, jy, jz, h_ext, n):
+    h = PauliOperator.zero()
+    for i in range(n - 1):
+        h = h + jx * (X(i) * X(i + 1))
+        h = h + jy * (Y(i) * Y(i + 1))
+        h = h + jz * (Z(i) * Z(i + 1))
+    if h_ext != 0.0:
+        for i in range(n):
+            h = h + h_ext * Z(i)
+    return h
+
+
+def staggered_reference(n):
+    op = PauliOperator.zero()
+    for i in range(n):
+        op = op + ((-1) ** i) * Z(i)
+    return (1.0 / n) * op
+
+
+def tfim_reference(jz, hx, n):
+    h = PauliOperator.zero()
+    for i in range(n - 1):
+        h = h + jz * (Z(i) * Z(i + 1))
+    for i in range(n):
+        h = h + hx * X(i)
+    return h
+
+
+def star_reference(n):
+    h = PauliOperator.zero()
+    for k in range(1, n):
+        h = h + (-0.5) * (PauliOperator.identity(1.0) - Z(0) * Z(k))
+    return h
+
+
+couplings = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.25, 1e-13]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 24), couplings, couplings, couplings,
+    st.one_of(st.just(0.0), couplings), st.sampled_from(["staggered_magnetization", "energy"]),
+)
+def test_heisenberg_matches_the_term_by_term_reference(n, jx, jy, jz, h_ext, observable):
+    params = HeisenbergParams(jx=jx, jy=jy, jz=jz, h_ext=h_ext, num_spins=n,
+                              observable_name=observable)
+    model = create_heisenberg(params)
+    h = heisenberg_reference(jx, jy, jz, h_ext, n)
+    assert model.hamiltonian == h
+    assert model.observable == (h if observable == "energy" else staggered_reference(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 24), couplings, couplings)
+def test_tfim_and_star_match_the_term_by_term_references(n, jz, hx):
+    assert create_tfim(jz, hx, n).hamiltonian == tfim_reference(jz, hx, n)
+    assert create_star_maxcut(n).observable == star_reference(n)
+    assert staggered_magnetization(n) == staggered_reference(n)
+
+
+@pytest.mark.parametrize(
+    "kind, options",
+    [
+        ("heisenberg", lambda n: {"num_spins": n, "h_ext": 0.3}),
+        ("heisenberg", lambda n: {"num_spins": n, "h_ext": 0.3, "observable": "energy"}),
+        ("tfim", lambda n: {"num_spins": n}),
+        ("star-maxcut", lambda n: {"num_qubits": n}),
+    ],
+    ids=["heisenberg-staggered", "heisenberg-energy", "tfim", "star-maxcut"],
+)
+def test_create_model_constructs_as_many_operators_at_24_qubits_as_at_4(
+    kind, options, monkeypatch
+):
+    constructed = []
+    init = PauliOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(kind)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PauliOperator, "__init__", counting_init)
+    counts = []
+    for n in (4, 24):
+        constructed.clear()
+        create_model(kind, options(n))
+        counts.append(len(constructed))
+    assert counts[0] == counts[1] > 0
