@@ -7,7 +7,8 @@ each term is one binomial draw, estimated as (2*hits - shots)/shots.
 Sampled tomography compiles an observable once per register width and keeps
 the result on the operator (``PauliOperator._sampled``).  The measured terms
 are grouped by x mask, each with its +/-1 sign row (-1)^popcount(k & z) and
-its phase (-i)^#Y, so that (P psi)[k] = phase * sign[k] * psi[k ^ x].  A call
+its phase (-i)^#Y from ``simulator.pauli_rows``, the table QITE also reads,
+so that (P psi)[k] = phase * sign[k] * psi[k ^ x].  A call
 gathers psi[k ^ x] once per group and gets every term's ||psi +/- P psi||^2
 in one vectorised pass; both are sums of squares, so p_even lies in [0, 1]
 with no clamping.  Their sum is 4 ||psi||^2, which checks the state's norm
@@ -28,7 +29,7 @@ import numpy as np
 
 from .circuit import Circuit, WidthMismatchError
 from .pauli import PauliOperator
-from .simulator import SAMPLE_NORM_TOL, NonHermitianError, StateVector, expectation, run
+from .simulator import SAMPLE_NORM_TOL, NonHermitianError, StateVector, expectation, pauli_rows, run
 
 # numpy's binomial takes an int64 trial count: 2**63 - 1 draws, 2**63 overflows.
 MAX_SHOTS = 2**63 - 1
@@ -79,26 +80,15 @@ def _compile_tomography(obs: PauliOperator, n: int) -> _Tomography:
         (string.x, k) for k, (string, _) in enumerate(terms) if not string.is_identity
     )
     slot_of = {k: slot for slot, (_, k) in enumerate(measured)}
-    basis = np.arange(1 << n)
-    signs = np.empty((2, len(measured), 1 << n), dtype=np.int8)
-    phases = np.empty((len(measured), 1), dtype=complex)
-    groups = []
-    for slot, (x, k) in enumerate(measured):
-        string = terms[k][0]
-        odd = (np.bitwise_count(basis & string.z) & 1).astype(np.int8)
-        signs[0, slot] = 1 - 2 * odd
-        phases[slot] = (-1j) ** (x & string.z).bit_count()
-        if groups and groups[-1][0] == x:
-            groups[-1][2] = slot + 1
-        else:
-            groups.append([x, slot, slot + 1])
-    np.negative(signs[0], out=signs[1])
+    x, rows, phases = pauli_rows([terms[k][0] for _, k in measured], n)
+    masks, starts = np.unique(x, return_index=True)  # x is sorted
+    signs, phases, basis = np.stack([rows, -rows]), phases[:, None], np.arange(1 << n)
     for table in (signs, phases, basis):
         table.flags.writeable = False  # shared by every thread that evaluates obs
     return _Tomography(
         terms=tuple((coeff.real, slot_of.get(k, -1)) for k, (_, coeff) in enumerate(terms)),
         streams=tuple(k for _, k in measured),
-        groups=tuple(map(tuple, groups)),
+        groups=tuple(zip(masks.tolist(), starts.tolist(), starts[1:].tolist() + [len(x)])),
         signs=signs,
         phases=phases,
         basis=basis,

@@ -18,7 +18,9 @@ Every gate runs through this kernel: X/Y/Z are strings, Rx/Ry/Rz rotations,
 S/Sdg the empty string with phase +-i controlled by their qubit, CNOT/CZ a
 controlled X/Z, and H one sum and one difference of its qubit's two
 half-slices.  Pauli strings, Pauli-sum operators, expectation values and
-exp(-i*theta*P) blocks run through it too.
+exp(-i*theta*P) blocks run through it too.  ``pauli_rows`` writes the same
+action for a batch of strings as one table (x masks, int8 sign rows, phases),
+which sampled tomography and the QITE step share.
 
 Compiled programs: ``compile_circuit`` turns a bound circuit that runs many
 times (the time-dependent workflow's Trotter step) into a Program.  A run of
@@ -103,6 +105,8 @@ class StateVector:
 
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "StateVector":
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise ValueError(f"a basis index must be an int, got {index!r}")
         if not 0 <= index < 2**num_qubits:
             raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
         amps = np.zeros(2**num_qubits, dtype=complex)
@@ -111,11 +115,11 @@ class StateVector:
 
     @classmethod
     def from_bits(cls, bits) -> "StateVector":
-        """Product state from a 0/1 sequence indexed by qubit; any other entry
-        raises a ValueError."""
+        """Product state from a 0/1 sequence indexed by qubit; any other entry,
+        a bool included, raises a ValueError."""
         bits = tuple(bits)
         for b in bits:
-            if b not in (0, 1):
+            if isinstance(b, (bool, np.bool_)) or b not in (0, 1):
                 raise ValueError(f"a bit must be 0 or 1, got {b!r}")
         return cls.basis(len(bits), sum(1 << q for q, b in enumerate(bits) if b))
 
@@ -242,6 +246,17 @@ def apply_pauli_string(amps: np.ndarray, string: PauliString, n: int) -> np.ndar
     return _pauli_product(amps, string.factors, n, 1.0)
 
 
+def pauli_rows(strings, n: int) -> tuple:
+    """(x, signs, phases) with (P_i psi)[k] = phases[i] * signs[i, k] * psi[k ^ x[i]]."""
+    x = np.array([s.x for s in strings], dtype=np.int64)
+    z = np.array([s.z for s in strings], dtype=np.int64)
+    phases = np.array([(-1j) ** (s.x & s.z).bit_count() for s in strings], dtype=complex)
+    signs = np.ones((len(strings), 1), dtype=np.int8)
+    for q in range(n):  # bit q of k doubles each row, negated where z has bit q
+        signs = np.hstack([signs, signs * (1 - 2 * (z[:, None] >> q & 1)).astype(np.int8)])
+    return x, signs, phases
+
+
 def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
     """A|psi> for a Pauli-sum operator (not unitary in general)."""
     if op.width > n:
@@ -274,7 +289,7 @@ def _execute(ops, n: int, initial) -> StateVector:
             )
         amps, owned = initial.amplitudes, False
     else:
-        amps = StateVector.basis(n, int(initial)).amplitudes
+        amps = StateVector.basis(n, initial).amplitudes
     for op in ops:
         if isinstance(op, FusedBlock):
             amps = op.apply(amps)
@@ -290,7 +305,7 @@ def _execute(ops, n: int, initial) -> StateVector:
 def run(circuit: Circuit, initial=None) -> StateVector:
     """Execute a fully bound circuit, op by op.
 
-    ``initial`` may be None (all-zeros state), a basis-state index, or a
+    ``initial`` may be None (all-zeros state), an int basis-state index, or a
     StateVector of matching width, which is never modified; the result never
     shares memory with it.
 

@@ -35,7 +35,7 @@ class SectorArityMismatchError(ValueError):
 class SingularSystemError(ValueError):
     """A linear subproblem has no usable solution (no valid tapered-qubit
     assignment here; also raised by the imaginary-time workflow when its
-    regularized solve fails)."""
+    step's update is not finite)."""
 
 
 def _gf2_kernel(rows: list, cols: int) -> list:

@@ -66,6 +66,8 @@ def distance(measure: str, value, reference) -> float:
         raise ValueError(
             f"rmse needs series of equal length, got {value.shape} vs {reference.shape}"
         )
+    if value.size == 0:
+        raise ValueError("rmse needs non-empty series; the value and reference are both empty")
     return float(np.sqrt(np.mean((value - reference) ** 2)))
 
 

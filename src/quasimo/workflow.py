@@ -33,7 +33,7 @@ from .costfn import CostFunctionEvaluator, EvaluatorConfig
 from .model import QuantumSimulationModel
 from .optimizer import OPTION_KEYS, Optimizer, config_value, create_optimizer
 from .pauli import PauliString, TooManyQubitsError
-from .simulator import StateVector, apply_operator, apply_pauli_string, compile_circuit, run
+from .simulator import StateVector, apply_operator, compile_circuit, pauli_rows, run
 from .tapering import SingularSystemError
 from .validation import QuantumValidationModel
 
@@ -296,26 +296,24 @@ class QaoaWorkflow(QuantumSimulationWorkflow):
 
 def _full_pauli_basis(n: int) -> list:
     """All 4^n - 1 non-identity strings on n qubits, canonical order."""
-    strings = []
-    for axes in itertools.product("IXYZ", repeat=n):
-        mapping = {q: a for q, a in enumerate(axes) if a != "I"}
-        if mapping:
-            strings.append(PauliString(mapping))
-    strings.sort(key=lambda s: s.sort_key())
-    return strings
+    masks = itertools.product(range(1 << n), repeat=2)
+    strings = (PauliString.from_masks(x, z) for x, z in masks if x | z)
+    return sorted(strings, key=PauliString.sort_key)
 
 
 class QiteWorkflow(QuantumSimulationWorkflow):
-    """Imaginary-time evolution by per-step unitary fits.
+    """Imaginary-time evolution by per-step unitary fits (Motta et al. 2020).
 
     At each step the target state e^{-dbeta*H}|psi>, normalized to first
     order via c = 1 - 2*dbeta*<H> (by design, a step with c <= 0, where dbeta
     is too large for that expansion, raises QiteNormalizationError rather
     than fall back to the exact norm), is matched by a unitary generated over
-    the full non-identity Pauli basis: solve
-    (S + S^T + lambda*I) a = 2*Im<psi|P_I H|psi> / sqrt(c),
-    with S_IJ = <psi|P_I P_J|psi>, then append exp(-i*a_I*dbeta*P_I) in
-    canonical order.  Tikhonov lambda = 1e-8, least-squares fallback.
+    the full non-identity Pauli basis.  The fit's system
+    (S + S^T + lambda*I) a = 2*Im<P_I psi|H psi> / sqrt(c), S_IJ =
+    <P_I psi|P_J psi>, lambda = 1e-8, needs no solve: as the sum of P rho P
+    over all 4^n Paulis is 2^n tr(rho) I, S + S^T is 2^n on the right-hand
+    side's span, so a_I = 2*Im<P_I psi|H psi> / (sqrt(c) * (2^n + lambda)).
+    exp(-i*a_I*dbeta*P_I) is appended in canonical order.
 
     Config: "steps" (required), "step-size" (dbeta > 0, required),
     "circuit-optimizer" (pass name or callable, optional).
@@ -354,16 +352,15 @@ class QiteWorkflow(QuantumSimulationWorkflow):
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
         self.check_model(model)
         n = model.num_qubits
-        hamiltonian = model.hamiltonian
         basis = _full_pauli_basis(n)
+        rows = pauli_rows(basis, n)
 
         circuit = model.state_prep
         state = run(circuit)
         amps = state.amplitudes
         values = [self.evaluator.evaluate_state(state, model.observable)]
         for _ in range(self.steps):
-            coeffs = self._solve_step(amps, hamiltonian, basis, self.dbeta, n)
-            thetas = coeffs * self.dbeta
+            thetas = self._solve_step(amps, model.hamiltonian, rows, self.dbeta, n) * self.dbeta
             chunk = Circuit(
                 n,
                 tuple(PauliRotation(s, t) for s, t in zip(basis, thetas) if abs(t) >= 1e-12),
@@ -384,11 +381,8 @@ class QiteWorkflow(QuantumSimulationWorkflow):
         )
 
     @staticmethod
-    def _solve_step(amps, hamiltonian, basis, dbeta, n):
-        rotated = np.stack([apply_pauli_string(amps, p, n) for p in basis])
-        overlap = rotated.conj() @ rotated.T
+    def _solve_step(amps, hamiltonian, rows, dbeta, n):
         h_amps = apply_operator(amps, hamiltonian, n)
-        b = np.imag(rotated.conj() @ h_amps)
         energy = float(np.real(np.vdot(amps, h_amps)))
         norm_factor = 1.0 - 2.0 * dbeta * energy
         if norm_factor <= 0.0:
@@ -396,14 +390,12 @@ class QiteWorkflow(QuantumSimulationWorkflow):
                 f"QITE norm factor 1 - 2*step-size*<H> = {norm_factor!r} is not positive "
                 f"(step-size {dbeta!r}, <H> = {energy!r}); reduce 'step-size'"
             )
-        matrix = (overlap + overlap.T).real + QITE_REGULARIZATION * np.eye(len(basis))
-        rhs = 2.0 * b / np.sqrt(norm_factor)
-        try:
-            coeffs = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError:
-            coeffs, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+        x, signs, phases = rows
+        rotated = phases[:, None] * signs * amps[np.arange(1 << n) ^ x[:, None]]
+        rhs = 2.0 * np.imag(rotated.conj() @ h_amps) / np.sqrt(norm_factor)
+        coeffs = rhs / ((1 << n) + QITE_REGULARIZATION)
         if not np.all(np.isfinite(coeffs)):
-            raise SingularSystemError("QITE linear system produced non-finite update")
+            raise SingularSystemError("QITE step produced a non-finite update")
         return coeffs
 
     def csv_table(self, result: WorkflowResult):

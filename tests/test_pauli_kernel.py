@@ -26,6 +26,7 @@ from quasimo.simulator import (
     apply_operator,
     apply_pauli_string,
     expectation,
+    pauli_rows,
     run,
 )
 from quasimo.workflow import get_workflow
@@ -62,6 +63,35 @@ def test_apply_pauli_string_matches_dense(case):
     amps = random_state(n, np.random.default_rng(seed))
     expected = dense(string, n) @ amps
     assert np.allclose(apply_pauli_string(amps, string, n), expected, atol=1e-12)
+
+
+@st.composite
+def string_batches(draw):
+    """(num_qubits, strings, state seed): each of a few x masks is shared by
+    several strings, about half of them Y-heavy (every X factor turned into a
+    Y), and the identity string is always in the batch."""
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, 2**n - 1)
+    batch = [PauliString()]
+    for x in draw(st.lists(masks, min_size=1, max_size=3)):
+        for z in draw(st.lists(masks, min_size=1, max_size=4)):
+            if draw(st.booleans()):
+                z |= x
+            batch.append(PauliString.from_masks(x, z))
+    return n, batch, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(string_batches())
+def test_pauli_rows_match_kernel(case):
+    n, batch, seed = case
+    amps = random_state(n, np.random.default_rng(seed))
+    x, signs, phases = pauli_rows(batch, n)
+    assert signs.dtype == np.int8 and signs.shape == (len(batch), 2**n)
+    rows = phases[:, None] * signs * amps[np.arange(2**n) ^ x[:, None]]
+    expected = np.stack([apply_pauli_string(amps, string, n) for string in batch])
+    # Both multiply each amplitude by +-1 and a power of -i: exact.
+    assert np.array_equal(rows, expected)
 
 
 def test_all_y_string_phase():

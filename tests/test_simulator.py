@@ -8,6 +8,7 @@ from quasimo.simulator import (
     NonHermitianError,
     StateVector,
     bitstring,
+    compile_circuit,
     expectation,
     run,
     sample,
@@ -44,6 +45,15 @@ def test_run_accepts_basis_index():
     assert state.amplitudes[3] == 1.0
 
 
+@pytest.mark.parametrize("index", [1.5, True], ids=["float", "bool"])
+def test_run_refuses_a_basis_index_that_is_not_an_int(index):
+    # int() would truncate both to basis state 1.
+    with pytest.raises(ValueError, match=repr(index)):
+        run(Circuit(2), index)
+    with pytest.raises(ValueError, match=repr(index)):
+        compile_circuit(Circuit(2)).run(index)
+
+
 def test_run_width_mismatch():
     with pytest.raises(WidthMismatchError):
         run(Circuit(2), StateVector.zero(3))
@@ -61,7 +71,8 @@ def test_expectation_neel_staggered_magnetization():
 def test_from_bits_takes_only_zero_and_one():
     assert StateVector.from_bits([1.0, 0]).amplitudes[1] == 1.0
     assert StateVector.from_bits(np.array([0, 1, 1])).amplitudes[6] == 1.0
-    for bits, entry in [([2, 0], "2"), ([0.5, 1], "0.5"), ([0, -1], "-1")]:
+    cases = [([2, 0], "2"), ([0.5, 1], "0.5"), ([0, -1], "-1"), ([True, False], "True")]
+    for bits, entry in cases:
         with pytest.raises(ValueError, match=entry):
             StateVector.from_bits(bits)
 

@@ -12,6 +12,7 @@ from quasimo.validation import (
     MissingKeyError,
     ValidationCriteria,
     accept_results,
+    distance,
     exact_evolution,
     exact_ground_energy,
 )
@@ -92,6 +93,15 @@ def test_accept_results_identical_series_rmse():
     criteria = ValidationCriteria("rmse", 1e-9, reference=series, key="exp-vals")
     accepted, measured = accept_results({"exp-vals": list(series)}, criteria)
     assert accepted and measured == 0.0
+
+
+def test_rmse_of_empty_series_is_refused():
+    # np.mean of an empty array warns and returns NaN, which no threshold accepts.
+    with pytest.raises(ValueError, match="value and reference are both empty"):
+        distance("rmse", [], [])
+    criteria = ValidationCriteria("rmse", 1.0, reference=[], key="exp-vals")
+    with pytest.raises(ValueError, match="both empty"):
+        accept_results({"exp-vals": []}, criteria)
 
 
 def test_zero_threshold_rejected():

