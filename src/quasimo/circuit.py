@@ -226,17 +226,24 @@ class Circuit:
 
         Counted without building the expansion: a PauliRotation on w qubits
         adds its factors' basis changes into Z and back, 2(w-1) CNOTs and one
-        Rz (see ``PauliRotation.gates``).
+        Rz (see ``PauliRotation.gates``).  Its X and Y factors are counted
+        from the string's masks, and each axis's basis-change gates are added
+        once, for all of its factors.
         """
         counts = Counter()
+        factors = Counter()
         for op in self.ops:
             if isinstance(op, Gate):
                 counts[op.kind] += 1
                 continue
-            for _, axis in op.string.factors:
-                counts.update(_basis_change_counts(axis))
-            counts["CNOT"] += 2 * (len(op.qubits) - 1)
+            x, z = op.string.x, op.string.z
+            factors["X"] += (x & ~z).bit_count()
+            factors["Y"] += (x & z).bit_count()
+            counts["CNOT"] += 2 * ((x | z).bit_count() - 1)
             counts["Rz"] += 1
+        for axis, number in factors.items():
+            for kind, count in _basis_change_counts(axis).items():
+                counts[kind] += number * count
         counts = {kind: count for kind, count in counts.items() if count}
         counts["total"] = sum(counts.values())
         return counts

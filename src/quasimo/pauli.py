@@ -171,14 +171,12 @@ class PauliOperator:
     non-finite coefficient raises a ValueError.  The empty string holds
     scalar/constant offsets.
 
-    ``_compiled`` is the simulator's memo of the operator's expectation form
-    on one register width (see ``simulator.expectation``), and ``_sampled``
-    the cost function's memo of its sampled-tomography form on one width and
-    seed (see ``costfn``).  Each is replaced whole, never mutated, and takes
-    no part in equality, hashing or printing.
+    ``_compiled`` is the operator's one memo, its compiled form on the last
+    register width asked (see ``simulator.compile_observable``): replaced
+    whole, and no part of equality, hashing or printing.
     """
 
-    __slots__ = ("_terms", "_width", "_hermitian", "_compiled", "_sampled")
+    __slots__ = ("_terms", "_width", "_hermitian", "_compiled")
 
     def __init__(self, terms=None):
         merged = {}
@@ -202,7 +200,6 @@ class PauliOperator:
         object.__setattr__(self, "_width", support.bit_length())
         object.__setattr__(self, "_hermitian", hermitian)
         object.__setattr__(self, "_compiled", None)
-        object.__setattr__(self, "_sampled", None)
 
     # -- constructors ------------------------------------------------------
 

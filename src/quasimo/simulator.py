@@ -20,7 +20,7 @@ controlled X/Z, and H one sum and one difference of its qubit's two
 half-slices.  Pauli strings, Pauli-sum operators, expectation values and
 exp(-i*theta*P) blocks run through it too.  ``pauli_rows`` writes the same
 action for a batch of strings as one table (x masks, int8 sign rows, phases),
-which sampled tomography and the QITE step share.
+which compiled observables and the QITE step share.
 
 Compiled programs: ``compile_circuit`` turns a bound circuit that runs many
 times (the time-dependent workflow's Trotter step) into a Program.  A run of
@@ -37,17 +37,17 @@ dispatch.  Every other op stays a kernel step, run through the same per-op
 dispatch as ``run``.  Only bound circuits compile; variational circuits,
 whose angles are Param slots, and one-off circuits go through ``run``.
 
-Compiled observables: ``expectation`` splits an operator, once per register
-width, into the real diagonal D of its Z-only terms (the constant included)
-and the tuple of its X/Y-bearing terms, and memoises both on the immutable
-operator.  Every Z-only term is then read at once as D . |psi|^2, one float
-temporary and one dot; each remaining term still takes one kernel call and a
-vdot.  Sampled tomography (``costfn``) keeps its own compiled form of the
-operator, grouped by x mask, and does not use this memo.
+Compiled observables: ``compile_observable`` turns an operator, once per
+register width, into the one form that ``expectation``, ``apply_operator``
+and sampled tomography (``costfn``) read: its x = 0 terms and constant fold
+into a diagonal D, and each X/Y group of one x mask keeps int8 sign rows from
+``pauli_rows``.  H psi = D psi + the sum of D_x psi[k ^ x], one gather per
+group, with D_x = sum of c * (-i)^#Y * sign row, folded a slice at a time.
 """
 
 from dataclasses import dataclass, field
 from math import cos, sin
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +68,8 @@ SHORT_ROWS = 3
 
 # How far a sampled state's squared norm may drift from 1 (see ``sample``).
 SAMPLE_NORM_TOL = 1e-8
+
+CHUNK_AMPLITUDES = 1 << 16  # compiled observables' temporaries, in amplitudes
 
 _SQRT2_INV = 2**-0.5
 
@@ -258,14 +260,12 @@ def pauli_rows(strings, n: int) -> tuple:
 
 
 def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
-    """A|psi> for a Pauli-sum operator (not unitary in general)."""
-    if op.width > n:
-        raise WidthMismatchError(
-            f"operator touches qubit {op.width - 1} on an {n}-qubit state"
-        )
-    out = np.zeros_like(amps)
-    for string, coeff in op.terms():
-        out += coeff * apply_pauli_string(amps, string, n)
+    """A|psi> for a Pauli-sum operator (not unitary in general): D psi plus
+    D_x psi[k ^ x] per X/Y group of its compiled form."""
+    compiled = compile_observable(op, n)
+    out = compiled.diagonal * amps
+    for lo, hi, product in _group_products(amps, compiled):
+        out[lo:hi] += product
     return out
 
 
@@ -280,16 +280,25 @@ def _execute(ops, n: int, initial) -> StateVector:
     array copied, once, at the end.
     """
     owned = True
-    if initial is None:
-        amps = StateVector.zero(n).amplitudes
-    elif isinstance(initial, StateVector):
+    if isinstance(initial, StateVector):
         if initial.num_qubits != n:
             raise WidthMismatchError(
                 f"{initial.num_qubits}-qubit state fed to a {n}-qubit circuit"
             )
         amps, owned = initial.amplitudes, False
     else:
-        amps = StateVector.basis(n, initial).amplitudes
+        # A basis state: each leading X gate only moves its one amplitude.
+        index = 0 if initial is None else initial
+        amps = StateVector.basis(n, index).amplitudes
+        lead = 0
+        for op in ops:
+            if not (isinstance(op, Gate) and op.kind == "X"):
+                break
+            amps[index] = 0.0
+            index ^= 1 << op.qubits[0]
+            amps[index] = 1.0
+            lead += 1
+        ops = ops[lead:]
     for op in ops:
         if isinstance(op, FusedBlock):
             amps = op.apply(amps)
@@ -421,45 +430,105 @@ def compile_circuit(circuit: Circuit) -> Program:
     return Program(circuit.num_qubits, tuple(steps))
 
 
-def _compiled_observable(op: PauliOperator, n: int) -> tuple:
-    """``op``'s expectation form on an n-qubit register, (diagonal, rest),
-    memoised on the operator for the last width asked.
+class CompiledObservable(NamedTuple):
+    """An operator on one width; measured terms' slots run by x mask, then term."""
 
-    ``diagonal`` is the read-only real vector
-    D[k] = sum of c * (-1)^popcount(k & z) over the Z-only terms, the
-    constant included; ``rest`` holds the X/Y-bearing (string, coefficient)
-    pairs in ``terms()`` order.
+    num_qubits: int
+    diagonal: np.ndarray  # D[k] over the x = 0 terms and the constant; real if they are
+    groups: tuple  # per x mask, ascending: (x, first slot, end slot, int8 sign rows)
+    coeffs: np.ndarray  # per slot, c * (-i)^#Y
+    phases: np.ndarray  # per slot, (-i)^#Y, as a column
+    terms: tuple  # (c.real, slot) in terms() order; slot -1 for the constant
+    streams: dict  # seed -> per term k, the saved state of default_rng([seed, k])
+
+
+def _diagonal(terms, n: int, dtype):
+    """D[k] = sum of c * (-1)^popcount(k & z) over the (z, c) ``terms``, as
+    [D0 + D1, D0 - D1] split on the top qubit; a scalar when no z is set."""
+    if not any(z for z, _ in terms):
+        return sum(c for _, c in terms)
+    half = 1 << (n - 1)
+    low = _diagonal([(z, c) for z, c in terms if not z & half], n - 1, dtype)
+    high = _diagonal([(z ^ half, c) for z, c in terms if z & half], n - 1, dtype)
+    out = np.empty(2 * half, dtype)
+    np.add(low, high, out=out[:half])
+    np.subtract(low, high, out=out[half:])
+    return out
+
+
+def compile_observable(op: PauliOperator, n: int, seed=None) -> CompiledObservable:
+    """``op``'s one compiled form on n qubits (see the module docstring),
+    memoised on the operator for the last width asked and replaced whole, so
+    a racing thread can only drop work, which the next call redoes.  A
+    ``seed`` (sampled tomography) adds the x = 0 sign rows once, and the seed's
+    generator states, O(terms), join ``streams``, written once per seed.
+
+    Raises:
+        WidthMismatchError: op touches a qubit outside the register.
     """
-    memo = op._compiled
-    if memo is not None and memo[0] == n:
-        return memo[1], memo[2]
-    diagonal = np.zeros(1 << n)
-    tensor = diagonal.reshape([2] * n)
-    rest = []
-    for string, coeff in op.terms():
-        if string.x:
-            rest.append((string, coeff))
-            continue
-        # The term's signs live on a tensor over its own qubits (size 1 on the
-        # others), so adding it is one broadcast pass over the diagonal.
-        signs = np.full([2 if string.z >> (n - 1 - a) & 1 else 1 for a in range(n)], coeff.real)
-        for q, _ in string.factors:
-            signs[_tensor_index(n, ((q, _HALVES[1]),))] *= -1.0
-        tensor += signs
-    diagonal.flags.writeable = False
-    rest = tuple(rest)
-    op._compiled = (n, diagonal, rest)
-    return diagonal, rest
+    compiled = op._compiled
+    if compiled is None or compiled.num_qubits != n:
+        if op.width > n:
+            raise WidthMismatchError(f"operator touches qubit {op.width - 1} on a {n}-qubit state")
+        terms = op.terms()
+        measured = sorted((s.x, k) for k, (s, _) in enumerate(terms) if not s.is_identity)
+        masks = [x for x, _ in measured]
+        z_only = masks.count(0)
+        _, rows, phases = pauli_rows([terms[k][0] for _, k in measured[z_only:]], n)
+        phases = np.concatenate([np.ones(z_only, dtype=complex), phases])[:, None]
+        coeffs = np.array([terms[k][1] for _, k in measured], dtype=complex) * phases[:, 0]
+        dtype = complex if any(c.imag for s, c in terms if not s.x) else float
+        z_terms = [(s.z, c if dtype is complex else c.real) for s, c in terms if not s.x]
+        diagonal = np.broadcast_to(np.asarray(_diagonal(z_terms, n, dtype), dtype), 1 << n)
+        for table in (rows, phases, coeffs):  # the diagonal is a read-only view
+            table.flags.writeable = False  # shared by every thread that reads op
+        starts = [s for s in range(len(masks)) if s == 0 or masks[s] != masks[s - 1]]
+        groups = tuple(
+            (masks[a], a, b, rows[a - z_only : b - z_only] if masks[a] else None)
+            for a, b in zip(starts, starts[1:] + [len(masks)])
+        )
+        slot_of = {k: slot for slot, (_, k) in enumerate(measured)}
+        terms = tuple((c.real, slot_of.get(k, -1)) for k, (_, c) in enumerate(terms))
+        compiled = op._compiled = CompiledObservable(n, diagonal, groups, coeffs, phases, terms, {})
+    if seed is None or seed in compiled.streams:
+        return compiled
+    groups = compiled.groups
+    if groups and groups[0][3] is None:
+        _, rows, _ = pauli_rows([s for s, _ in op.terms() if not s.x and not s.is_identity], n)
+        rows.flags.writeable = False
+        compiled = op._compiled = compiled._replace(groups=((*groups[0][:3], rows), *groups[1:]))
+    compiled.streams[seed] = tuple(
+        np.random.default_rng([seed, k]).bit_generator.state if slot >= 0 else None
+        for k, (_, slot) in enumerate(compiled.terms)
+    )
+    return compiled
+
+
+def xor_gather(amps: np.ndarray, x: int, n: int) -> np.ndarray:
+    """psi[k ^ x] for every k, as one strided copy of the [2]*n view."""
+    flips = tuple((q, _REVERSED) for q in range(n) if x >> q & 1)
+    return amps.reshape([2] * n)[_tensor_index(n, flips)].ravel()
+
+
+def _group_products(amps: np.ndarray, compiled: CompiledObservable):
+    """(lo, hi, D_x[lo:hi] * psi[k ^ x] over lo <= k < hi) per X/Y group, with
+    D_x = sum of c * (-i)^#Y * sign row over the group's t terms, folded
+    max(1, ``CHUNK_AMPLITUDES`` // t) amplitudes at a time and never stored."""
+    for x, start, stop, rows in compiled.groups:
+        if x:
+            flipped = xor_gather(amps, x, compiled.num_qubits)
+            span = max(1, CHUNK_AMPLITUDES // (stop - start))
+            for lo in range(0, len(amps), span):
+                part = flipped[lo : lo + span]
+                part *= compiled.coeffs[start:stop] @ rows[:, lo : lo + span]
+                yield lo, lo + span, part
 
 
 def expectation(state: StateVector, op: PauliOperator) -> float:
-    """<psi|op|psi> for a Hermitian operator.
-
-    Computed as D . |psi|^2 plus sum(c * <psi|P|psi>) over the X/Y-bearing
-    terms P, with D the operator's compiled diagonal (built once per register
-    width, then reused).  The result is the real part of that sum; its
-    imaginary part, which the coefficients' imaginary parts below
-    ``COEFF_EPS`` and rounding leave, is dropped unchecked.
+    """<psi|op|psi> for a Hermitian operator: D . |psi|^2 plus
+    <psi|D_x psi[k ^ x]> per X/Y group of its compiled form.  The imaginary
+    part, which the coefficients' imaginary parts below ``COEFF_EPS`` and
+    rounding leave, is dropped unchecked.
 
     Raises:
         NonHermitianError: op has a coefficient whose imaginary part is at
@@ -468,16 +537,13 @@ def expectation(state: StateVector, op: PauliOperator) -> float:
     """
     if not op.is_hermitian:
         raise NonHermitianError("expectation value requires a Hermitian operator")
-    n = state.num_qubits
-    if op.width > n:
-        raise WidthMismatchError(f"operator touches qubit {op.width - 1} on a {n}-qubit state")
-    diagonal, rest = _compiled_observable(op, n)
+    compiled = compile_observable(op, state.num_qubits)
     amps = state.amplitudes
     probs = np.abs(amps)
     probs *= probs
-    value = complex(diagonal @ probs)
-    for string, coeff in rest:
-        value += coeff * np.vdot(amps, apply_pauli_string(amps, string, n))
+    value = complex(compiled.diagonal @ probs)
+    for lo, hi, product in _group_products(amps, compiled):
+        value += np.vdot(amps[lo:hi], product)
     return float(value.real)
 
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from quasimo import simulator
 from quasimo.ansatz import symmetric_trotter_step, trotter_step
 from quasimo.circuit import (
     GATE_KINDS,
@@ -33,7 +34,7 @@ from quasimo.circuit import (
     UnboundParametersError,
     rx,
 )
-from quasimo.model import create_model
+from quasimo.model import bits_prep, create_model
 from quasimo.pauli import PauliOperator, PauliString
 from quasimo.simulator import (
     SHORT_ROWS,
@@ -330,6 +331,37 @@ def test_runs_from_none_or_a_basis_index_return_a_fresh_state_each_time(case, in
         first, second = execute(), execute()
         assert not np.shares_memory(first.amplitudes, second.amplitudes)
         assert np.allclose(first.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(), st.data())
+def test_runs_from_a_basis_state_equal_runs_from_its_state_vector(circuit, data):
+    # A leading run of X gates, folded into the basis index, then any ops.
+    n = circuit.num_qubits
+    flips = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    circuit = Circuit(n, tuple(Gate("X", (q,)) for q in flips) + circuit.ops)
+    program = compile_circuit(circuit)
+    initial = data.draw(st.none() | st.integers(0, 2**n - 1))
+    start = StateVector.basis(n, initial or 0)
+    for execute in (lambda s: run(circuit, s), program.run):
+        assert np.array_equal(execute(initial).amplitudes, execute(start).amplitudes)
+
+
+def test_a_basis_state_prep_applies_no_gate(monkeypatch):
+    applied = []
+    apply_gate = simulator.apply_gate
+    monkeypatch.setattr(
+        simulator, "apply_gate", lambda *args: applied.append(args) or apply_gate(*args)
+    )
+    bits = [i % 2 for i in range(16)]
+    state = run(bits_prep(bits))
+    assert applied == []
+    index = sum(1 << q for q, b in enumerate(bits) if b)
+    assert np.array_equal(state.amplitudes, StateVector.basis(16, index).amplitudes)
+    assert np.array_equal(run(bits_prep(bits), index).amplitudes, StateVector.zero(16).amplitudes)
+    # A later X gate, after another op, still runs through the kernel.
+    run(Circuit(2, (Gate("X", (0,)), Gate("H", (1,)), Gate("X", (1,)))))
+    assert [gate.kind for _, gate, _ in applied] == ["H", "X"]
 
 
 def test_sixteen_spin_symmetric_xxz_step_compiles_to_9_fused_steps():

@@ -306,15 +306,52 @@ def test_tomography_samples_a_state_within_the_norm_tolerance():
 def test_compiled_tomography_is_kept_per_width_and_seed(rng):
     obs = create_model("h2", {}).observable
     state = StateVector(4, random_state(4, rng))
+    evaluate_state(state, obs, EvaluatorConfig())
+    exact = obs._compiled
+    assert exact.groups[0][3] is None and exact.streams == {}  # no x = 0 rows yet
     evaluate_state(state, obs, EvaluatorConfig(100, 3))
-    memo = obs._sampled
+    memo = obs._compiled
+    # Sampling replaced the memo whole: the exact tables are shared, and the
+    # x = 0 group's sign rows and seed 3's states are added.
+    assert memo is not exact and exact.groups[0][3] is None
+    assert memo.diagonal is exact.diagonal and memo.groups[1] is exact.groups[1]
+    assert memo.groups[0][3].dtype == np.int8 and list(memo.streams) == [3]
     evaluate_state(state, obs, EvaluatorConfig(100, 3))
-    assert obs._sampled is memo
+    evaluate_state(state, obs, EvaluatorConfig())
+    assert obs._compiled is memo
+    # Seed 4's states join seed 3's beside the same compiled form.
+    states = memo.streams[3]
     evaluate_state(state, obs, EvaluatorConfig(100, 4))
-    assert obs._sampled[2] is memo[2] and obs._sampled[1] == 4
+    assert obs._compiled is memo and memo.streams[3] is states
+    assert list(memo.streams) == [3, 4]
+    evaluate_state(state, obs, EvaluatorConfig(100, 3))
+    assert obs._compiled is memo and memo.streams[3] is states
     evaluate_state(StateVector(5, random_state(5, rng)), obs, EvaluatorConfig(100, 4))
-    assert obs._sampled[0] == 5
-    assert obs._compiled is None  # the exact path's memo is separate
+    wide = obs._compiled
+    assert wide.num_qubits == 5 and list(wide.streams) == [4]
+    assert wide.diagonal.shape == (32,) and wide.groups[0][3].shape[1] == 32
+
+
+def test_alternating_seeds_build_no_generator_state_after_each_first_call(monkeypatch, rng):
+    obs = create_model("h2", {}).observable
+    states = [StateVector(4, random_state(4, rng)) for _ in range(6)]
+    first = [evaluate_state(s, obs, EvaluatorConfig(1000, seed)) for s in states[:2] for seed in (7, 8)]
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    again = [evaluate_state(s, obs, EvaluatorConfig(1000, seed)) for s in states[:2] for seed in (7, 8)]
+    assert again == first and built == []
+    for state in states[2:]:
+        for seed in (7, 8):
+            value = evaluate_state(state, obs, EvaluatorConfig(1000, seed))
+            assert built == []
+            assert value == _reference_tomography(state, obs, 1000, seed)
+            built.clear()  # the reference draws from fresh generators
 
 
 def test_tomography_term_mean_and_variance_over_seeds():

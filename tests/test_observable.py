@@ -1,9 +1,11 @@
-"""Compiled observables: ``expectation`` against the dense quadratic form and
-the term-by-term kernel sum.
+"""Compiled observables: ``expectation`` and ``apply_operator`` against the
+dense matrix and the term-by-term kernel sum.
 
-``expectation`` reads every Z-only term (the constant included) from one
-memoised real diagonal and runs only the X/Y-bearing terms through the
-kernel; the oracles here apply every term on its own.
+``compile_observable`` groups an operator's terms by x mask, once per
+register width: the x = 0 group and the constant fold into one diagonal D,
+and each X/Y group keeps its terms' int8 sign rows.  ``expectation`` and
+``apply_operator`` read D plus one gather per X/Y group; the oracles here
+apply every term on its own.
 """
 
 import numpy as np
@@ -16,7 +18,14 @@ from quasimo.ansatz import symmetric_trotter_step, trotter_step
 from quasimo.costfn import EvaluatorConfig, evaluate_state
 from quasimo.model import create_model, staggered_magnetization
 from quasimo.pauli import PauliOperator, PauliString
-from quasimo.simulator import StateVector, expectation, run
+from quasimo.simulator import (
+    StateVector,
+    apply_operator,
+    compile_observable,
+    expectation,
+    pauli_rows,
+    run,
+)
 from quasimo.workflow import get_workflow
 
 from conftest import random_state
@@ -55,18 +64,133 @@ def test_expectation_matches_the_dense_form_across_widths(data, n, seed):
     unmeasured = PauliOperator(op.terms())
     before = (repr(op), hash(op), op.terms())
     rng = np.random.default_rng(seed)
-    # n, then n + 2, then n again: the memo is replaced each time.
+    # n, then n + 2, then n again: the memo is replaced whole each time.
+    memos = []
     for width in (n, n + 2, n):
         amps = random_state(width, rng)
         value = expectation(StateVector(width, amps), op)
         assert value == pytest.approx(_dense(op, amps, width), rel=0, abs=1e-12)
-        assert op._compiled[0] == width
+        assert op._compiled.num_qubits == width
+        assert expectation(StateVector(width, amps), op) == value
+        memos.append(op._compiled)
+    assert memos[0] is not memos[2] and memos[0].num_qubits == memos[2].num_qubits
     assert (repr(op), hash(op), op.terms()) == before
     assert op == unmeasured and unmeasured == op
-    diagonal = op._compiled[1]
-    assert not diagonal.flags.writeable
-    with pytest.raises(ValueError):
-        diagonal[0] = 1.0
+    for table in (op._compiled.diagonal, op._compiled.coeffs):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+@st.composite
+def grouped_operators(draw, max_qubits=8):
+    """(n, operator): a constant plus terms on one to three shared x masks
+    (0 among them, so the diagonal is exercised), Y factors wherever x and
+    z overlap, and complex coefficients when ``hermitian`` is drawn false."""
+    n = draw(st.integers(1, max_qubits))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+    hermitian = draw(st.booleans())
+    values = coefficients if hermitian else st.complex_numbers(max_magnitude=2.0)
+    terms = {PauliString(): draw(values)}
+    for _ in range(draw(st.integers(0, 10))):
+        x = draw(st.sampled_from(masks))
+        y = x & draw(st.integers(0, full))  # the Y factors
+        z = y | (draw(st.integers(0, full)) & ~x)
+        terms[PauliString.from_masks(x, z)] = draw(values)
+    return n, PauliOperator(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouped_operators(), st.integers(0, 2**32 - 1))
+def test_expectation_and_h_psi_match_the_matrix(case, seed):
+    n, op = case
+    amps = random_state(n, np.random.default_rng(seed))
+    matrix = op.to_matrix(n)
+    assert np.allclose(apply_operator(amps, op, n), matrix @ amps, rtol=0, atol=1e-12)
+    if op.is_hermitian:
+        value = expectation(StateVector(n, amps), op)
+        assert value == pytest.approx(_dense(op, amps, n), rel=0, abs=1e-12)
+
+
+def test_h_psi_of_a_non_hermitian_operator_keeps_every_imaginary_part(rng):
+    # Complex coefficients on the diagonal and on an X/Y group.
+    op = PauliOperator(
+        {
+            PauliString(): 0.5j,
+            PauliString({0: "Z", 2: "Z"}): 1 - 2j,
+            PauliString({1: "X", 2: "Y"}): 0.25 + 1j,
+            PauliString({1: "Y", 2: "X"}): -3j,
+        }
+    )
+    assert not op.is_hermitian
+    amps = random_state(3, rng)
+    assert np.allclose(apply_operator(amps, op, 3), op.to_matrix(3) @ amps, rtol=0, atol=1e-12)
+    assert op._compiled.diagonal.dtype == complex
+
+
+def _reference_diagonal(op, n):
+    """D[k] = sum of c * (-1)^popcount(k & z) over the Z-only terms, one
+    term at a time in terms() order."""
+    k = np.arange(1 << n)
+    diagonal = np.zeros(1 << n)
+    for string, coeff in op.terms():
+        if not string.x:
+            parity = np.array([bin(v & string.z).count("1") & 1 for v in k])
+            diagonal += coeff.real * (1 - 2 * parity)
+    return diagonal
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_the_diagonal_equals_the_per_term_sum_exactly(n, data):
+    # Dyadic coefficients add without rounding in any order, so the split
+    # on the top qubit must give the per-term sum bit for bit.
+    dyadic = st.integers(-64, 64).filter(bool).map(lambda v: v / 16)
+    z_masks = st.integers(0, (1 << n) - 1)
+    terms = data.draw(st.dictionaries(z_masks, dyadic, max_size=12))
+    op = PauliOperator((PauliString.from_masks(0, z), c) for z, c in terms.items())
+    op = op + PauliOperator.from_string(PauliString.from_masks(1, 1))  # one X/Y group
+    compiled = compile_observable(op, n)
+    assert np.array_equal(compiled.diagonal, _reference_diagonal(op, n))
+    assert compiled.diagonal.dtype == float
+
+
+def test_a_z_only_observable_compiles_to_its_diagonal_alone():
+    op = staggered_magnetization(16)
+    compiled = compile_observable(op, 16)
+    assert compiled.groups == ((0, 0, 16, None),)
+    assert compiled.diagonal.nbytes == 8 << 16
+    assert compiled.streams == {}
+    assert compile_observable(op, 16) is compiled
+
+
+def test_x_y_groups_share_one_sign_row_table(rng):
+    hamiltonian = create_model("heisenberg", {"num_spins": 6, "Jz": 0.25}).hamiltonian
+    compiled = compile_observable(hamiltonian, 6)
+    # Each bond's XX and YY share its x mask; the ZZ terms are the diagonal.
+    bonds = [(3 << q, 2 * q, 2 * q + 2) for q in range(5)]
+    xy = [(x, start - 5, stop - 5) for x, start, stop, _ in compiled.groups[1:]]
+    assert compiled.groups[0][:3] == (0, 0, 5) and compiled.groups[0][3] is None
+    assert xy == [(x, a, b) for x, a, b in bonds]
+    strings = [s for s, _ in sorted(hamiltonian.terms(), key=lambda t: t[0].x) if s.x]
+    _, rows, _ = pauli_rows(strings, 6)
+    for x, start, stop, table in compiled.groups[1:]:
+        assert table.dtype == np.int8 and not table.flags.writeable
+        assert np.array_equal(table, rows[start - 5 : stop - 5])
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_groups_folded_a_slice_at_a_time_match_the_matrix(chunk, monkeypatch, rng):
+    # A group of t terms folds D_x max(1, chunk // t) amplitudes at a time.
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", chunk)
+    op = create_model("heisenberg", {"num_spins": 5, "Jz": 0.25, "h_ext": 0.3}).hamiltonian
+    op = op + 0.7 * PauliOperator.from_string(PauliString({0: "X", 1: "Y", 4: "Z"}))
+    amps = random_state(5, rng)
+    matrix = op.to_matrix(5)
+    assert np.allclose(apply_operator(amps, op, 5), matrix @ amps, rtol=0, atol=1e-12)
+    value = expectation(StateVector(5, amps), op)
+    assert value == pytest.approx(_dense(op, amps, 5), rel=0, abs=1e-12)
 
 
 @pytest.fixture
@@ -91,15 +215,14 @@ def test_z_only_observable_makes_no_kernel_call(pauli_calls, rng):
     assert pauli_calls == []
 
 
-def test_heisenberg_energy_makes_one_kernel_call_per_xy_term(pauli_calls, rng):
+def test_heisenberg_energy_and_h_psi_make_no_kernel_call(pauli_calls, rng):
     hamiltonian = create_model("heisenberg", {"num_spins": 8, "Jz": 0.25}).hamiltonian
     state = StateVector(8, random_state(8, rng))
-    xy_terms = [s for s, _ in hamiltonian.terms() if s.x]
-    assert 0 < len(xy_terms) < hamiltonian.num_terms
+    assert 0 < sum(1 for s, _ in hamiltonian.terms() if s.x) < hamiltonian.num_terms
     for _ in range(2):
-        pauli_calls.clear()
         evaluate_state(state, hamiltonian, EvaluatorConfig())
-        assert pauli_calls == xy_terms
+        apply_operator(state.amplitudes, hamiltonian, 8)
+    assert pauli_calls == []
 
 
 def _term_by_term(state, op):

@@ -244,6 +244,32 @@ def test_gate_counts_match_the_expansion(circuit):
     assert circuit.gate_counts() == dict(expected)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_gate_counts_of_y_heavy_rotations_match_the_expansion(n, data):
+    # Rotations drawn from masks, Y on most of their qubits, between gates.
+    full = (1 << n) - 1
+    ops = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        if data.draw(st.booleans()):
+            support = data.draw(st.integers(1, full))
+            x = support & data.draw(st.integers(0, full))  # the X and Y factors
+            y = x & ~(data.draw(st.integers(0, full)) & data.draw(st.integers(0, full)))
+            z = y | (support & ~x)
+            ops.append(PauliRotation(PauliString.from_masks(x, z), 0.1))
+        else:
+            kind = data.draw(st.sampled_from(sorted(GATE_KINDS)))
+            arity, takes_angle = GATE_KINDS[kind]
+            if arity > n:
+                continue
+            qubits = data.draw(st.permutations(range(n)))[:arity]
+            ops.append(Gate(kind, tuple(qubits), 0.2 if takes_angle else None))
+    circuit = Circuit(n, tuple(ops))
+    expected = Counter(gate.kind for gate in circuit.gates)
+    expected["total"] = len(circuit.gates)
+    assert circuit.gate_counts() == dict(expected)
+
+
 def run_config(name, **workflow_overrides):
     config = json.loads((CONFIG_DIR / name).read_text())
     model_section = dict(config["model"])
