@@ -123,10 +123,13 @@ def _cmd_run(args) -> int:
         unknown = set(evaluator_section) - {"shots", "seed"}
         if unknown:
             raise ConfigError(f"unknown evaluator key '{sorted(unknown)[0]}'")
-        if "shots" in evaluator_section:
-            workflow_section.setdefault("shots", config_value(evaluator_section, "shots", int))
-        if "seed" in evaluator_section:
-            workflow_section.setdefault("seed", config_value(evaluator_section, "seed", int))
+        clash = evaluator_section.keys() & workflow_section.keys()
+        if clash:
+            raise ConfigError(
+                f"config key '{sorted(clash)[0]}' is set in both the 'evaluator' and "
+                "'workflow' sections; give one"
+            )
+        workflow_section.update(evaluator_section)
         workflow_section["seed"] = _effective_seed(args.seed, workflow_section)
         if args.shots is not None:
             workflow_section["shots"] = args.shots

@@ -7,8 +7,9 @@ never be worse than any point actually visited.
 
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,7 +261,7 @@ def config_value(options: dict, key: str, convert, default=None):
     if key not in options:
         return default
     try:
-        if convert in (int, float) and isinstance(options[key], bool):
+        if convert in (int, float) and isinstance(options[key], (bool, np.bool_)):
             raise ValueError
         value = (as_int if convert is int else convert)(options[key])
         if convert is float and not math.isfinite(value):
@@ -272,45 +273,65 @@ def config_value(options: dict, key: str, convert, default=None):
         raise ValueError(f"config key '{key}' {problem} {options[key]!r}") from None
 
 
-_NAMES = ("spsa", "nelder-mead")
-OPTION_KEYS = frozenset({"budget", "seed", "perturbation", "stability", "tolerance"})
+class _Method(NamedTuple):
+    minimize: Callable  # (f, x0, budget, seed, options) -> OptResult
+    min_budget: Callable  # dim -> the smallest budget it accepts
+    options: frozenset  # every key it reads; all but "budget" and "seed" are floats
+
+
+_COMMON_KEYS = frozenset({"budget", "seed"})
+# Each lambda looks its function up when called, so a patched module
+# attribute is what runs.  Nelder-Mead draws nothing, so it drops the seed.
+_METHODS = {
+    "spsa": _Method(
+        lambda f, x0, budget, seed, options: spsa_minimize(f, x0, budget, seed, **options),
+        spsa_min_budget,
+        _COMMON_KEYS | {"perturbation", "stability"},
+    ),
+    "nelder-mead": _Method(
+        lambda f, x0, budget, seed, options: nelder_mead_minimize(f, x0, budget, **options),
+        lambda dim: 1,
+        _COMMON_KEYS | {"tolerance"},
+    ),
+}
+OPTION_KEYS = frozenset().union(*(m.options for m in _METHODS.values()))
 
 
 class Optimizer:
     """A named minimization method with frozen options.
 
-    Options (all optional): ``budget`` (default 200), ``seed``,
-    ``perturbation`` and ``stability`` (SPSA), ``tolerance`` (Nelder-Mead).
-    An unknown name, an unknown option key or an option value that does not
-    convert raises a ValueError.
+    Options (all optional): ``budget`` (default 200) and ``seed`` (default
+    0) for every method, ``perturbation`` and ``stability`` for SPSA,
+    ``tolerance`` for Nelder-Mead.  Nelder-Mead takes a ``seed`` too, since
+    a workflow hands its seed to every optimizer, but draws nothing.  An
+    unknown name, an option key the method does not read or an option value
+    that does not convert raises a ValueError naming it.
     """
 
     def __init__(self, name: str, options: dict | None = None):
-        if name not in _NAMES:
-            raise ValueError(f"unknown optimizer {name!r}; known: {sorted(_NAMES)}")
+        method = _METHODS.get(name)
+        if method is None:
+            raise ValueError(f"unknown optimizer {name!r}; known: {sorted(_METHODS)}")
         options = options or {}
-        unknown = sorted(set(options) - OPTION_KEYS)
-        if unknown:
-            raise ValueError(
-                f"unknown optimizer option '{unknown[0]}'; known: {sorted(OPTION_KEYS)}"
-            )
-        self.name = name
+        for key in options:
+            if key not in method.options:
+                raise ValueError(
+                    f"optimizer {name!r} does not read option '{key}'; "
+                    f"it reads {sorted(method.options)}"
+                )
+        self.name, self._method = name, method
         self.budget = config_value(options, "budget", int, 200)
         self.seed = config_value(options, "seed", int, 0)
-        self.perturbation = config_value(options, "perturbation", float, SPSA_PERTURBATION)
-        self.stability = config_value(options, "stability", float, 0.0)
-        self.tolerance = config_value(options, "tolerance", float, 1e-8)
+        self._options = {
+            key: config_value(options, key, float) for key in options if key not in _COMMON_KEYS
+        }
 
     def min_budget(self, dim: int) -> int:
         """Smallest budget this method accepts over ``dim`` parameters."""
-        return spsa_min_budget(dim) if self.name == "spsa" else 1
+        return self._method.min_budget(dim)
 
     def minimize(self, f, x0) -> OptResult:
-        if self.name == "spsa":
-            return spsa_minimize(
-                f, x0, self.budget, self.seed, self.perturbation, self.stability
-            )
-        return nelder_mead_minimize(f, x0, budget=self.budget, tolerance=self.tolerance)
+        return self._method.minimize(f, x0, self.budget, self.seed, self._options)
 
 
 def create_optimizer(name: str, options: dict | None = None) -> Optimizer:

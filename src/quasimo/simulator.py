@@ -38,11 +38,17 @@ dispatch as ``run``.  Only bound circuits compile; variational circuits,
 whose angles are Param slots, and one-off circuits go through ``run``.
 
 Compiled observables: ``compile_observable`` turns an operator, once per
-register width, into the one form that ``expectation``, ``apply_operator``
-and sampled tomography (``costfn``) read: its x = 0 terms and constant fold
-into a diagonal D, and each X/Y group of one x mask keeps int8 sign rows from
-``pauli_rows``.  H psi = D psi + the sum of D_x psi[k ^ x], one gather per
-group, with D_x = sum of c * (-i)^#Y * sign row, folded a slice at a time.
+register width, into the one form that ``apply_operator`` and
+``parity_masses`` read (no other module reads its fields): its x = 0 terms
+and constant fold into a diagonal D, and each X/Y group of one x mask keeps
+int8 sign rows from ``pauli_rows``, so (P psi)[k] = phase * sign[k] *
+psi[k ^ x].  H psi = D psi + the sum of D_x psi[k ^ x], one gather per
+group, with D_x = sum of c * (-i)^#Y * sign row, folded a slice at a time,
+and ``expectation`` is Re <psi|H psi>.  ``parity_masses`` gets every term's
+||psi +/- P psi||^2 in one vectorised pass per group, max(1,
+``CHUNK_AMPLITUDES`` >> n) terms at a time; both are sums of squares, so
+p_even lies in [0, 1] unclamped, and their sum, 4 ||psi||^2, checks the
+state's norm for free.  Its first call on a width adds the x = 0 sign rows.
 """
 
 from dataclasses import dataclass, field
@@ -259,14 +265,11 @@ def pauli_rows(strings, n: int) -> tuple:
     return x, signs, phases
 
 
-def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
-    """A|psi> for a Pauli-sum operator (not unitary in general): D psi plus
-    D_x psi[k ^ x] per X/Y group of its compiled form."""
-    compiled = compile_observable(op, n)
-    out = compiled.diagonal * amps
-    for lo, hi, product in _group_products(amps, compiled):
-        out[lo:hi] += product
-    return out
+def pauli_overlaps(rows: tuple, amps: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """<P_i psi|other> for every row i of a ``pauli_rows`` table, by one gather."""
+    x, signs, phases = rows
+    rotated = phases[:, None] * signs * amps[np.arange(len(amps)) ^ x[:, None]]
+    return rotated.conj() @ other
 
 
 def _execute(ops, n: int, initial) -> StateVector:
@@ -439,7 +442,6 @@ class CompiledObservable(NamedTuple):
     coeffs: np.ndarray  # per slot, c * (-i)^#Y
     phases: np.ndarray  # per slot, (-i)^#Y, as a column
     terms: tuple  # (c.real, slot) in terms() order; slot -1 for the constant
-    streams: dict  # seed -> per term k, the saved state of default_rng([seed, k])
 
 
 def _diagonal(terms, n: int, dtype):
@@ -456,12 +458,11 @@ def _diagonal(terms, n: int, dtype):
     return out
 
 
-def compile_observable(op: PauliOperator, n: int, seed=None) -> CompiledObservable:
+def compile_observable(op: PauliOperator, n: int) -> CompiledObservable:
     """``op``'s one compiled form on n qubits (see the module docstring),
     memoised on the operator for the last width asked and replaced whole, so
-    a racing thread can only drop work, which the next call redoes.  A
-    ``seed`` (sampled tomography) adds the x = 0 sign rows once, and the seed's
-    generator states, O(terms), join ``streams``, written once per seed.
+    a racing thread can only drop work, which the next call redoes.  The
+    x = 0 group holds no sign rows until ``parity_masses`` adds them.
 
     Raises:
         WidthMismatchError: op touches a qubit outside the register.
@@ -489,46 +490,75 @@ def compile_observable(op: PauliOperator, n: int, seed=None) -> CompiledObservab
         )
         slot_of = {k: slot for slot, (_, k) in enumerate(measured)}
         terms = tuple((c.real, slot_of.get(k, -1)) for k, (_, c) in enumerate(terms))
-        compiled = op._compiled = CompiledObservable(n, diagonal, groups, coeffs, phases, terms, {})
-    if seed is None or seed in compiled.streams:
-        return compiled
-    groups = compiled.groups
-    if groups and groups[0][3] is None:
-        _, rows, _ = pauli_rows([s for s, _ in op.terms() if not s.x and not s.is_identity], n)
-        rows.flags.writeable = False
-        compiled = op._compiled = compiled._replace(groups=((*groups[0][:3], rows), *groups[1:]))
-    compiled.streams[seed] = tuple(
-        np.random.default_rng([seed, k]).bit_generator.state if slot >= 0 else None
-        for k, (_, slot) in enumerate(compiled.terms)
-    )
+        compiled = op._compiled = CompiledObservable(n, diagonal, groups, coeffs, phases, terms)
     return compiled
 
 
-def xor_gather(amps: np.ndarray, x: int, n: int) -> np.ndarray:
+def _xor_gather(amps: np.ndarray, x: int, n: int) -> np.ndarray:
     """psi[k ^ x] for every k, as one strided copy of the [2]*n view."""
     flips = tuple((q, _REVERSED) for q in range(n) if x >> q & 1)
     return amps.reshape([2] * n)[_tensor_index(n, flips)].ravel()
 
 
-def _group_products(amps: np.ndarray, compiled: CompiledObservable):
-    """(lo, hi, D_x[lo:hi] * psi[k ^ x] over lo <= k < hi) per X/Y group, with
-    D_x = sum of c * (-i)^#Y * sign row over the group's t terms, folded
-    max(1, ``CHUNK_AMPLITUDES`` // t) amplitudes at a time and never stored."""
+def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
+    """A|psi> for a Pauli-sum operator (not unitary in general): D psi plus
+    D_x psi[k ^ x] per X/Y group of its compiled form, with D_x = sum of
+    c * (-i)^#Y * sign row over the group's t terms, folded max(1,
+    ``CHUNK_AMPLITUDES`` // t) amplitudes at a time and never stored."""
+    compiled = compile_observable(op, n)
+    out = compiled.diagonal * amps
     for x, start, stop, rows in compiled.groups:
         if x:
-            flipped = xor_gather(amps, x, compiled.num_qubits)
+            flipped = _xor_gather(amps, x, n)
             span = max(1, CHUNK_AMPLITUDES // (stop - start))
             for lo in range(0, len(amps), span):
                 part = flipped[lo : lo + span]
                 part *= compiled.coeffs[start:stop] @ rows[:, lo : lo + span]
-                yield lo, lo + span, part
+                out[lo : lo + span] += part
+    return out
+
+
+def parity_masses(amps: np.ndarray, op: PauliOperator, n: int) -> list:
+    """(c, p_even) per term of ``op`` in ``terms()`` order, p_even None for the
+    constant (see the module docstring); a state whose squared norm is not
+    finite or is further than ``SAMPLE_NORM_TOL`` from 1 raises a ValueError."""
+    compiled = compile_observable(op, n)
+    groups = compiled.groups
+    if groups and groups[0][3] is None:
+        _, rows, _ = pauli_rows([s for s, _ in op.terms() if not s.x and not s.is_identity], n)
+        rows.flags.writeable = False
+        groups = ((*groups[0][:3], rows), *groups[1:])
+        compiled = op._compiled = compiled._replace(groups=groups)
+    at_once = max(1, CHUNK_AMPLITUDES >> n)
+    # Row 0: ||psi + P psi||^2 per slot; row 1: ||psi - P psi||^2.
+    norms = np.empty((2, len(compiled.coeffs)))
+    for x, start, stop, rows in groups:
+        flipped = _xor_gather(amps, x, n) if x else amps
+        for lo in range(start, stop, at_once):
+            hi = min(lo + at_once, stop)
+            pair = np.empty((2, hi - lo, len(amps)), dtype=complex)
+            np.multiply(rows[lo - start : hi - start], flipped, out=pair[1])  # P psi
+            pair[1] *= compiled.phases[lo:hi]
+            np.add(amps, pair[1], out=pair[0])
+            np.subtract(amps, pair[1], out=pair[1])
+            parts = pair.view(np.float64)
+            np.einsum("ijk,ijk->ij", parts, parts, out=norms[:, lo:hi])
+    mass = norms[0] + norms[1]  # 4 ||psi||^2, once per term
+    for squared_norm in (mass * 0.25).tolist():
+        if not abs(squared_norm - 1.0) <= SAMPLE_NORM_TOL:  # also catches NaN
+            raise ValueError(
+                f"sampled tomography needs a normalised state: squared norm is "
+                f"{squared_norm!r}, not within {SAMPLE_NORM_TOL} of 1"
+            )
+    p_even = (norms[0] / mass).tolist() + [None]  # the constant's slot, -1, reads None
+    return [(coeff, p_even[slot]) for coeff, slot in compiled.terms]
 
 
 def expectation(state: StateVector, op: PauliOperator) -> float:
-    """<psi|op|psi> for a Hermitian operator: D . |psi|^2 plus
-    <psi|D_x psi[k ^ x]> per X/Y group of its compiled form.  The imaginary
-    part, which the coefficients' imaginary parts below ``COEFF_EPS`` and
-    rounding leave, is dropped unchecked.
+    """<psi|op|psi> for a Hermitian operator, as Re <psi|op psi> from
+    ``apply_operator``.  The imaginary part, which the coefficients'
+    imaginary parts below ``COEFF_EPS`` and rounding leave, is dropped
+    unchecked.
 
     Raises:
         NonHermitianError: op has a coefficient whose imaginary part is at
@@ -537,14 +567,8 @@ def expectation(state: StateVector, op: PauliOperator) -> float:
     """
     if not op.is_hermitian:
         raise NonHermitianError("expectation value requires a Hermitian operator")
-    compiled = compile_observable(op, state.num_qubits)
     amps = state.amplitudes
-    probs = np.abs(amps)
-    probs *= probs
-    value = complex(compiled.diagonal @ probs)
-    for lo, hi, product in _group_products(amps, compiled):
-        value += np.vdot(amps[lo:hi], product)
-    return float(value.real)
+    return float(np.vdot(amps, apply_operator(amps, op, state.num_qubits)).real)
 
 
 def sample(state: StateVector, shots: int, seed=0) -> ShotResult:

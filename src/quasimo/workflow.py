@@ -33,7 +33,7 @@ from .costfn import CostFunctionEvaluator, EvaluatorConfig
 from .model import QuantumSimulationModel
 from .optimizer import OPTION_KEYS, Optimizer, config_value, create_optimizer
 from .pauli import PauliString, TooManyQubitsError
-from .simulator import StateVector, apply_operator, compile_circuit, pauli_rows, run
+from .simulator import StateVector, apply_operator, compile_circuit, pauli_overlaps, pauli_rows, run
 from .tapering import SingularSystemError
 from .validation import QuantumValidationModel
 
@@ -390,9 +390,7 @@ class QiteWorkflow(QuantumSimulationWorkflow):
                 f"QITE norm factor 1 - 2*step-size*<H> = {norm_factor!r} is not positive "
                 f"(step-size {dbeta!r}, <H> = {energy!r}); reduce 'step-size'"
             )
-        x, signs, phases = rows
-        rotated = phases[:, None] * signs * amps[np.arange(1 << n) ^ x[:, None]]
-        rhs = 2.0 * np.imag(rotated.conj() @ h_amps) / np.sqrt(norm_factor)
+        rhs = 2.0 * np.imag(pauli_overlaps(rows, amps, h_amps)) / np.sqrt(norm_factor)
         coeffs = rhs / ((1 << n) + QITE_REGULARIZATION)
         if not np.all(np.isfinite(coeffs)):
             raise SingularSystemError("QITE step produced a non-finite update")

@@ -280,6 +280,11 @@ MALFORMED_VALUES = [
         ("true,false,0..", [True, False] + [0] * 6),
     ]
 ] + [
+    # An optimizer option the named method does not read.
+    ("nelder-mead-perturbation", "perturbation",
+     with_value(QAOA, "workflow", "perturbation", 0.5)),
+    ("spsa-tolerance", "tolerance", with_value(VQE, "workflow", "tolerance", 1e-3)),
+] + [
     # JSON true is not a number, and a spin is 0 or 1.
     ("dt=true", "dt", with_value(HEISENBERG_2, "workflow", "dt", True)),
     ("steps=true", "steps", with_value(HEISENBERG_2, "workflow", "steps", True)),
@@ -338,6 +343,36 @@ def test_tfim_with_both_initial_state_keys_exits_2_naming_both(tmp_path, capsys)
     assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "'initial_spins'" in err and "'initial-state'" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--shots", "10", "--seed", "3"]], ids=["", "flags"])
+@pytest.mark.parametrize(
+    "keys",
+    [{"shots": 100000}, {"seed": 9}, {"shots": 100000, "seed": 9}],
+    ids=["shots", "seed", "both"],
+)
+def test_a_key_in_both_evaluator_and_workflow_exits_2_naming_it(keys, flags, tmp_path, capsys):
+    # Either section's value would silently lose to the other's.
+    config = with_value(VQE, "workflow", "shots", 100)
+    config = with_value(config, "workflow", "seed", 5)
+    config = write_config(tmp_path / "cfg.json", with_value(config, "evaluator", None, keys))
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{sorted(keys)[0]}'" in err
+
+
+def test_evaluator_keys_act_as_the_same_workflow_keys(tmp_path):
+    keys = {"shots": 100, "seed": 5}
+    configs = {
+        "evaluator": with_value(QITE, "evaluator", None, keys),
+        "workflow": with_value(QITE, "workflow", None, {**QITE["workflow"], **keys}),
+        "exact": QITE,
+    }
+    for label, config in configs.items():
+        config = write_config(tmp_path / f"{label}.json", config)
+        assert main(["run", "--config", config, "--out", str(tmp_path / label), "--quiet"]) == 0
+    evaluator, workflow, exact = [(tmp_path / label / "qite.csv").read_bytes() for label in configs]
+    assert evaluator == workflow != exact
 
 
 # Config errors only the model can reveal: checked before the run, still exit 2.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasimo import costfn
+from quasimo import costfn, simulator
 from quasimo.circuit import Circuit, WidthMismatchError, basis_change_gates, h, rx, ry, x
 from quasimo.costfn import (
     MAX_SHOTS,
@@ -109,6 +109,19 @@ def test_evaluator_config_validation():
     prep = Circuit(1, (rx(0, 0.7),))
     value = evaluate(prep, Z(0), EvaluatorConfig(shots=0, seed=5))
     assert value == expectation(run(prep), Z(0))
+
+
+def test_evaluator_config_converts_its_fields_to_ints():
+    cfg = EvaluatorConfig(shots=np.int64(1000), seed=9.0)
+    assert (cfg.shots, cfg.seed) == (1000, 9)
+    assert type(cfg.shots) is int and type(cfg.seed) is int
+    # 2.5 shots would draw Binomial(2, p) but divide by 2.5; True would read as 1.
+    for name, value in [
+        ("shots", 2.5), ("shots", True), ("shots", np.True_), ("shots", None),
+        ("seed", 1.5), ("seed", False), ("seed", "x"), ("seed", float("nan")),
+    ]:
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            EvaluatorConfig(**{name: value})
 
 
 def test_evaluator_object_wraps_config():
@@ -231,11 +244,11 @@ def test_sampled_evaluation_equals_the_term_by_term_reference(case, shots, seed)
         )
 
 
-@pytest.mark.parametrize("n, chunk", [(5, 1), (5, 64), (14, costfn.CHUNK_AMPLITUDES)])
+@pytest.mark.parametrize("n, chunk", [(5, 1), (5, 64), (14, simulator.CHUNK_AMPLITUDES)])
 def test_groups_taken_in_chunks_equal_the_reference(n, chunk, monkeypatch, rng):
     # A group takes max(1, chunk >> n) terms at a time: one or two at n = 5,
     # and four of the 27 Z-only terms at n = 14 under the shipped constant.
-    monkeypatch.setattr(costfn, "CHUNK_AMPLITUDES", chunk)
+    monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", chunk)
     obs = create_model("heisenberg", {"num_spins": n, "Jz": 0.25, "h_ext": 0.3}).hamiltonian
     obs = obs + PauliOperator.identity(0.7)
     for seed in (1, 2):
@@ -303,33 +316,52 @@ def test_tomography_samples_a_state_within_the_norm_tolerance():
     assert evaluate_state(state, MIXED_OBSERVABLE, cfg) == expected
 
 
-def test_compiled_tomography_is_kept_per_width_and_seed(rng):
+def test_compiled_tomography_is_kept_per_width(rng):
     obs = create_model("h2", {}).observable
     state = StateVector(4, random_state(4, rng))
     evaluate_state(state, obs, EvaluatorConfig())
     exact = obs._compiled
-    assert exact.groups[0][3] is None and exact.streams == {}  # no x = 0 rows yet
+    assert exact.groups[0][3] is None  # the exact path builds no x = 0 rows
+    assert "streams" not in type(exact)._fields  # and no form holds generator state
+    evaluate_state(state, obs, EvaluatorConfig())
+    assert obs._compiled is exact
     evaluate_state(state, obs, EvaluatorConfig(100, 3))
     memo = obs._compiled
     # Sampling replaced the memo whole: the exact tables are shared, and the
-    # x = 0 group's sign rows and seed 3's states are added.
+    # x = 0 group's sign rows are added.
     assert memo is not exact and exact.groups[0][3] is None
     assert memo.diagonal is exact.diagonal and memo.groups[1] is exact.groups[1]
-    assert memo.groups[0][3].dtype == np.int8 and list(memo.streams) == [3]
-    evaluate_state(state, obs, EvaluatorConfig(100, 3))
-    evaluate_state(state, obs, EvaluatorConfig())
-    assert obs._compiled is memo
-    # Seed 4's states join seed 3's beside the same compiled form.
-    states = memo.streams[3]
-    evaluate_state(state, obs, EvaluatorConfig(100, 4))
-    assert obs._compiled is memo and memo.streams[3] is states
-    assert list(memo.streams) == [3, 4]
-    evaluate_state(state, obs, EvaluatorConfig(100, 3))
-    assert obs._compiled is memo and memo.streams[3] is states
+    assert memo.groups[0][3].dtype == np.int8 and memo.groups[0][3].shape[1] == 16
+    # Neither another seed nor the exact path compiles again on this width.
+    for cfg in (EvaluatorConfig(100, 3), EvaluatorConfig(100, 4), EvaluatorConfig()):
+        evaluate_state(state, obs, cfg)
+        assert obs._compiled is memo
     evaluate_state(StateVector(5, random_state(5, rng)), obs, EvaluatorConfig(100, 4))
     wide = obs._compiled
-    assert wide.num_qubits == 5 and list(wide.streams) == [4]
-    assert wide.diagonal.shape == (32,) and wide.groups[0][3].shape[1] == 32
+    assert wide.num_qubits == 5 and wide.diagonal.shape == (32,) and wide.groups[0][3].shape[1] == 32
+    assert memo.num_qubits == 4 and memo.groups[0][3].shape[1] == 16
+
+
+def test_a_second_observable_reuses_the_generator_states_of_a_seed(monkeypatch, rng):
+    # A term's stream depends on (seed, k) alone, so a second observable
+    # sampled with a seed already used builds no generator state.
+    obs = create_model("h2", {}).observable
+    state = StateVector(4, random_state(4, rng))
+    evaluate_state(state, obs, EvaluatorConfig(1000, 21))
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    for other in (PauliOperator(obs.terms()), 0.5 * obs):
+        assert other._compiled is None
+        value = evaluate_state(state, other, EvaluatorConfig(1000, 21))
+        assert built == []
+        assert value == _reference_tomography(state, other, 1000, 21)
+        built.clear()  # the reference draws from fresh generators
 
 
 def test_alternating_seeds_build_no_generator_state_after_each_first_call(monkeypatch, rng):

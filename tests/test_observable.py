@@ -161,8 +161,11 @@ def test_a_z_only_observable_compiles_to_its_diagonal_alone():
     compiled = compile_observable(op, 16)
     assert compiled.groups == ((0, 0, 16, None),)
     assert compiled.diagonal.nbytes == 8 << 16
-    assert compiled.streams == {}
     assert compile_observable(op, 16) is compiled
+    # Sampling first asks for the x = 0 sign rows and keeps D.
+    simulator.parity_masses(StateVector(16).amplitudes, op, 16)
+    sampled = op._compiled
+    assert sampled.groups[0][3].shape == (16, 1 << 16) and sampled.diagonal is compiled.diagonal
 
 
 def test_x_y_groups_share_one_sign_row_table(rng):

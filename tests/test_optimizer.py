@@ -115,6 +115,28 @@ def test_unknown_option_key_names_the_key():
         create_optimizer("spsa", {"budgte": 10})
 
 
+@pytest.mark.parametrize(
+    "name, options, key",
+    [
+        ("spsa", {"tolerance": 5.0}, "tolerance"),
+        ("nelder-mead", {"perturbation": 5.0, "stability": 3}, "perturbation"),
+        ("nelder-mead", {"stability": 3}, "stability"),
+    ],
+)
+def test_an_option_the_method_does_not_read_names_the_key(name, options, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        create_optimizer(name, options)
+
+
+def test_every_method_takes_a_budget_and_a_seed():
+    # A workflow hands its seed to every optimizer; Nelder-Mead draws nothing.
+    for name in ("spsa", "nelder-mead"):
+        opt = create_optimizer(name, {"budget": 60, "seed": 3})
+        assert (opt.name, opt.budget, opt.seed) == (name, 60, 3)
+    runs = [create_optimizer("nelder-mead", {"seed": s}).minimize(quadratic, [0.0]) for s in (1, 2)]
+    assert runs[0].trace == runs[1].trace
+
+
 @pytest.mark.parametrize("name", ["spsa", "nelder-mead"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_objective_raises_naming_the_evaluation(name, bad):
