@@ -16,6 +16,8 @@ angles print as ``(p<slot>)``, scaled slots as ``(<scale>*p<slot>)``.
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
+from math import isfinite
+from numbers import Integral, Real
 
 from .pauli import PauliString
 
@@ -56,10 +58,26 @@ class UnboundParametersError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Param:
-    """A symbolic angle: ``scale * values[index]`` once bound."""
+    """A symbolic angle: ``scale * values[index]`` once bound.
+
+    ``index`` must be an int (a numpy integer converts; a bool is refused)
+    and ``scale`` a finite number; anything else raises a ValueError.
+    """
 
     index: int
     scale: float = 1.0
+
+    def __post_init__(self):
+        # A plain int and float, as the ansatz builders pass, need no
+        # conversion (set-up cost: the numbers ABCs are slow to check).
+        if type(self.index) is not int:
+            if isinstance(self.index, bool) or not isinstance(self.index, Integral):
+                raise ValueError(f"a parameter slot must be an int, got {self.index!r}")
+            object.__setattr__(self, "index", int(self.index))
+        if type(self.scale) is not float and isinstance(self.scale, Real):
+            object.__setattr__(self, "scale", float(self.scale))
+        if type(self.scale) is not float or not isfinite(self.scale):
+            raise ValueError(f"a parameter scale must be a finite number, got {self.scale!r}")
 
     def __mul__(self, factor):
         return Param(self.index, self.scale * factor)

@@ -175,7 +175,17 @@ def _read_column(path: str, column):
             name = column if column is not None else reader.fieldnames[-1]
             if name not in reader.fieldnames:
                 raise ConfigError(f"{path} has no column '{name}'")
-            return [float(row[name]) for row in reader]
+            values = []
+            for row in reader:
+                # DictReader files a long row's extra fields under None and
+                # fills a short row's missing ones with None.
+                if None in row or None in row.values():
+                    raise ConfigError(
+                        f"{path} line {reader.line_num}: the row does not have the "
+                        f"header's {len(reader.fieldnames)} field(s)"
+                    )
+                values.append(float(row[name]))
+            return values
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ConfigError:

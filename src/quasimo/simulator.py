@@ -22,20 +22,20 @@ exp(-i*theta*P) blocks run through it too.  ``pauli_rows`` writes the same
 action for a batch of strings as one table (x masks, int8 sign rows, phases),
 which compiled observables and the QITE step share.
 
-Compiled programs: ``compile_circuit`` turns a bound circuit that runs many
-times (the time-dependent workflow's Trotter step) into a Program.  A run of
-ops with joint support S has the window of qubits lo..hi: hi is max(S) and
-lo is min(S), or 0 when min(S) < ``SHORT_ROWS``.  Each maximal run of two or
-more adjacent ops whose window spans at most ``WINDOW`` qubits becomes one
+Compiled programs: ``compile_circuit`` turns a circuit that runs many times
+(a Trotter step, a variational ansatz) into a Program.  A run of bound ops
+with joint support S has the window of qubits lo..hi: hi is max(S) and lo is
+min(S), or 0 when min(S) < ``SHORT_ROWS``.  Each maximal run of two or more
+adjacent bound ops whose window spans at most ``WINDOW`` qubits becomes one
 FusedBlock, the product of the ops' matrices in program order over every
 qubit of the window.  Those m qubits are the middle axis of the
 (2^(n-1-hi), 2^m, 2^lo) view of the state, so the block is one matrix
 product on that view, reading and writing the state once.  The kernel builds
 every block matrix by running the ops on the identity's columns
 (``_block_matrix``), so every op kind is defined once, in the kernel
-dispatch.  Every other op stays a kernel step, run through the same per-op
-dispatch as ``run``.  Only bound circuits compile; variational circuits,
-whose angles are Param slots, and one-off circuits go through ``run``.
+dispatch.  An op on a Param slot is never fused: it is a PauliRotation step
+whose angle each run reads from its values.  Every other op stays a kernel
+step; ``run`` executes a circuit's ops unfused, through the same executor.
 
 Compiled observables: ``compile_observable`` turns an operator, once per
 register width, into the one form that ``apply_operator`` and
@@ -57,7 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, Gate, PauliRotation, UnboundParametersError, WidthMismatchError
+from .circuit import ArityMismatchError, Circuit, Gate, Param, PauliRotation
+from .circuit import UnboundParametersError, WidthMismatchError
 from .pauli import PauliOperator, PauliString, TooManyQubitsError
 
 # Dense amplitudes: 2^24 complex values is ~0.25 GB, a sane desk-scale cap.
@@ -272,9 +273,10 @@ def pauli_overlaps(rows: tuple, amps: np.ndarray, other: np.ndarray) -> np.ndarr
     return rotated.conj() @ other
 
 
-def _execute(ops, n: int, initial) -> StateVector:
-    """Apply ``ops`` (circuit ops and FusedBlocks) in order to the initial
-    state; returns a new state and never writes to ``initial``.
+def _execute(ops, n: int, initial, values=()) -> StateVector:
+    """Apply ``ops`` (circuit ops and FusedBlocks, Param angles read from
+    ``values``) in order to the initial state; returns a new state and never
+    writes to ``initial``.
 
     A caller's StateVector is not copied up front: FusedBlocks and gates
     read their input and return a new array, and a PauliRotation, which
@@ -306,8 +308,11 @@ def _execute(ops, n: int, initial) -> StateVector:
         if isinstance(op, FusedBlock):
             amps = op.apply(amps)
         elif isinstance(op, PauliRotation):
+            angle = op.angle
+            if isinstance(angle, Param):
+                angle = angle.scale * values[angle.index]
             out = amps if owned else None
-            amps = _pauli_rotation(amps, op.string.factors, op.angle, n, out=out)
+            amps = _pauli_rotation(amps, op.string.factors, angle, n, out=out)
         else:
             amps = apply_gate(amps, op, n)
         owned = True
@@ -325,11 +330,7 @@ def run(circuit: Circuit, initial=None) -> StateVector:
         UnboundParametersError: the circuit still has symbolic parameters.
         WidthMismatchError: initial state width differs from the circuit.
     """
-    if not circuit.is_bound:
-        raise UnboundParametersError(
-            f"circuit has {circuit.num_params} unbound parameter(s); bind first"
-        )
-    return _execute(circuit.ops, circuit.num_qubits, initial)
+    return Program(circuit.num_qubits, circuit.ops, circuit.num_params).run(initial)
 
 
 def _block_matrix(group, qubits: tuple) -> np.ndarray:
@@ -380,37 +381,40 @@ class FusedBlock:
 
 @dataclass(frozen=True)
 class Program:
-    """A bound circuit compiled for repeated runs (see ``compile_circuit``)."""
+    """A circuit compiled for repeated runs (see ``compile_circuit``)."""
 
     num_qubits: int
     steps: tuple  # circuit ops and FusedBlocks, in program order
+    num_params: int = 0  # Param slots, filled from each run's values
 
-    def run(self, initial=None) -> StateVector:
-        """Same contract as ``run(circuit, initial)``: ``initial`` is never
-        modified, and the result never shares memory with it.  A
-        StateVector's amplitudes are read in place, not copied first (see
-        ``_execute``)."""
-        return _execute(self.steps, self.num_qubits, initial)
+    def run(self, initial=None, values=()) -> StateVector:
+        """As ``run(circuit, initial)``, with one value per slot.
+
+        Raises:
+            UnboundParametersError: a slotted program got no values.
+            ArityMismatchError: values has other than one entry per slot.
+            WidthMismatchError: initial state width differs from the program.
+        """
+        values = [float(v) for v in values]
+        if len(values) != self.num_params:
+            error = ArityMismatchError if values else UnboundParametersError
+            raise error(f"circuit has {self.num_params} parameter(s), got {len(values)} value(s)")
+        return _execute(self.steps, self.num_qubits, initial, values)
 
 
 def compile_circuit(circuit: Circuit) -> Program:
-    """Compile a bound circuit once for many runs.
+    """Compile a circuit, bound or with Param slots, once for many runs.
 
     Walks the ops once and folds every maximal run of two or more adjacent
-    ops whose window spans at most ``WINDOW`` qubits into one FusedBlock,
-    the product of the ops' matrices in program order.  A run's window is
-    min(S)..max(S) of its joint support S, or 0..max(S) when min(S) <
-    ``SHORT_ROWS``.  Nothing is reordered, so the program is the circuit's
-    unitary up to rounding; every other op stays a kernel step, among them
-    every op whose own window is wider than ``WINDOW``.
-
-    Raises:
-        UnboundParametersError: the circuit still has symbolic parameters.
+    bound ops whose window spans at most ``WINDOW`` qubits into one
+    FusedBlock, the product of the ops' matrices in program order.  A run's
+    window is min(S)..max(S) of its joint support S, or 0..max(S) when
+    min(S) < ``SHORT_ROWS``.  An op on a Param slot ends the run and is a
+    PauliRotation step (Rx/Ry/Rz at half the slot's scale).  Nothing is
+    reordered, so the program is the circuit's unitary up to rounding; every
+    other op stays a kernel step, among them every op whose own window is
+    wider than ``WINDOW``.
     """
-    if not circuit.is_bound:
-        raise UnboundParametersError(
-            f"circuit has {circuit.num_params} unbound parameter(s); bind first"
-        )
     steps = []
     group, lo, hi = [], 0, 0
 
@@ -421,6 +425,14 @@ def compile_circuit(circuit: Circuit) -> Program:
             steps.append(FusedBlock(group, tuple(range(lo, hi + 1))))
 
     for op in circuit.ops:
+        if isinstance(op.angle, Param):
+            close()
+            group = []
+            if isinstance(op, Gate):
+                axis = PauliString({op.qubits[0]: _ROTATION_AXIS[op.kind]})
+                op = PauliRotation(axis, op.angle * 0.5)
+            steps.append(op)
+            continue
         low = min(op.qubits) if min(op.qubits) >= SHORT_ROWS else 0
         high = max(op.qubits)
         if group and max(hi, high) - min(lo, low) < WINDOW:
@@ -430,7 +442,7 @@ def compile_circuit(circuit: Circuit) -> Program:
             close()
             group, lo, hi = [op], low, high
     close()
-    return Program(circuit.num_qubits, tuple(steps))
+    return Program(circuit.num_qubits, tuple(steps), circuit.num_params)
 
 
 class CompiledObservable(NamedTuple):

@@ -7,7 +7,8 @@ and return a WorkflowResult.  Every key is read and converted once, at
 ``initialize``, so a malformed value raises BadConfigError or a ValueError
 naming the key before anything runs.  What needs the model (the length of
 "initial-params", the smallest "budget" the optimizer accepts over the
-ansatz's parameters, QITE's width cap) is checked by ``check_model``, which
+ansatz's parameters, QITE's width cap, a bound state prep for the
+time-dependent and QITE workflows) is checked by ``check_model``, which
 the CLI calls before ``execute`` and ``execute`` calls again.  Instances are
 single-use; independent executions may run concurrently.
 
@@ -17,10 +18,10 @@ WorkflowResult keys by workflow:
     qaoa:           "energy", "opt-params", "trace", "evaluations"
     qite:           "exp-vals", "energy", "final-circuit-stats"
 
-vqe and qaoa share one driver, ``_minimize``: for qaoa, "energy",
-"opt-params" and "trace" belong to the best start, while "evaluations" is
-the total over all starts.  Each workflow's ``csv_table``
-lays out its result as the CLI's CSV.
+vqe and qaoa share one driver, ``_minimize``, which compiles the ansatz
+once per execution: for qaoa, "energy", "opt-params" and "trace" belong to
+the best start, while "evaluations" is the total over all starts.  Each
+workflow's ``csv_table`` lays out its result as the CLI's CSV.
 """
 
 import itertools
@@ -144,6 +145,13 @@ class QuantumSimulationWorkflow:
             return value
         return create_optimizer(str(value), {"seed": self.seed, **options})
 
+    def _check_bound_prep(self, model: QuantumSimulationModel):
+        if model.num_params:
+            raise ValueError(
+                f"workflow '{self.name}' needs a bound state prep; the model's has "
+                f"{model.num_params} parameter(s)"
+            )
+
     def _check_budget(self, dim: int):
         needed = self.optimizer.min_budget(dim)
         _require(
@@ -156,10 +164,12 @@ class QuantumSimulationWorkflow:
         """Minimize ``observable``'s expectation over ``circuit``'s parameters,
         running the optimizer from each start in order.  "energy", "opt-params"
         and "trace" come from the best start (the earliest on a tie);
-        "evaluations" is the total over all starts."""
+        "evaluations" is the total over all starts.  The circuit is compiled
+        once; each objective call runs the program with its angles."""
+        program = compile_circuit(circuit)
 
         def objective(theta):
-            return self.evaluator.evaluate(circuit.bind_parameters(theta), observable)
+            return self.evaluator.evaluate_state(program.run(None, theta), observable)
 
         best = None
         evaluations = 0
@@ -200,7 +210,11 @@ class TimeDependentWorkflow(QuantumSimulationWorkflow):
         _require(self.steps >= 0, "config key 'steps' must be >= 0")
         _require(self.order in (1, 2), "config key 'trotter-order' must be 1 or 2")
 
+    def check_model(self, model: QuantumSimulationModel) -> None:
+        self._check_bound_prep(model)
+
     def execute(self, model: QuantumSimulationModel) -> WorkflowResult:
+        self.check_model(model)
         n = model.num_qubits
         prep = model.state_prep
         if self.order == 1:
@@ -343,6 +357,7 @@ class QiteWorkflow(QuantumSimulationWorkflow):
         )
 
     def check_model(self, model: QuantumSimulationModel) -> None:
+        self._check_bound_prep(model)
         if model.num_qubits > QITE_MAX_QUBITS:
             raise TooManyQubitsError(
                 f"QITE uses the full 4^n Pauli basis; capped at {QITE_MAX_QUBITS} "

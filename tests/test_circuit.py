@@ -61,6 +61,28 @@ def test_bind_arity_mismatch():
         circuit.bind_parameters([0.1, 0.2])
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(0.5,), (True,), (np.True_,), ("0",), (None,), (0, float("nan")), (0, float("inf")),
+     (0, "2"), (0, None)],
+    ids=repr,
+)
+def test_param_refuses_a_non_int_slot_or_a_non_finite_scale(args):
+    with pytest.raises(ValueError):
+        Param(*args)
+    with pytest.raises(ValueError):
+        Circuit(1, (rx(0, Param(*args)),), 1)
+
+
+def test_param_converts_numpy_fields_and_finite_scales():
+    param = Param(np.int64(2), np.float32(0.5))
+    assert type(param.index) is int and param.index == 2
+    assert type(param.scale) is float and param.scale == 0.5
+    assert Param(0, 3) == Param(0, 3.0)
+    with pytest.raises(ValueError):
+        Param(0) * float("nan")
+
+
 def test_param_scaling_binds_scaled_angle():
     circuit = Circuit(1, (rz(0, Param(0, 0.5)),), 1)
     assert circuit.bind_parameters([2.0]).gates[0].angle == pytest.approx(1.0)

@@ -396,6 +396,18 @@ def test_model_dependent_config_error_exits_2_naming_the_key(key, config, tmp_pa
     assert err.startswith("config error:") and f"'{key}'" in err
 
 
+@pytest.mark.parametrize(
+    "workflow", [HEISENBERG_2["workflow"], QITE["workflow"]], ids=["time-dependent", "qite"]
+)
+def test_a_parameterised_model_under_time_evolution_exits_2(workflow, tmp_path, capsys):
+    # The mirror case, VQE on an unparameterised model, exits 2 as well.
+    config = write_config(tmp_path / "cfg.json", {"model": {"kind": "h2"}, "workflow": workflow})
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "8 parameter(s)" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 NON_INTEGRAL = [
     ("num_spins", 2.5, with_value(HEISENBERG_2, "model", "num_spins", 2.5)),
     ("steps", 2.5, with_value(HEISENBERG_2, "workflow", "steps", 2.5)),
@@ -591,3 +603,22 @@ def test_validate_header_only_reference_exits_2(tmp_path, capsys, measure):
     )
     assert code == 2
     assert f"{reference} has no data rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1,0.05", "1,0.05,0.9,7"], ids=["short", "long"])
+@pytest.mark.parametrize("ragged_side", ["results", "reference"])
+def test_validate_a_ragged_row_exits_2_naming_the_file_and_line(
+    row, ragged_side, tmp_path, capsys
+):
+    good = tmp_path / "good.csv"
+    good.write_text("step,time,exp_val\n0,0.0,1.0\n1,0.05,0.9\n")
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text(f"step,time,exp_val\n0,0.0,1.0\n{row}\n")
+    results, reference = (ragged, good) if ragged_side == "results" else (good, ragged)
+    code = main(
+        ["validate", str(results), "--reference", str(reference), "--measure", "rmse",
+         "--threshold", "1.0"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{ragged} line 3" in err

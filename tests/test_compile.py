@@ -8,7 +8,9 @@ applies as one matrix product on the state's view with the window as its
 middle axis.  One oracle is ``run``, which applies every op through the same
 kernel; the independent one is the product of dense references: each gate's
 ``gate_matrix`` embedded with ``np.kron`` and scipy's ``expm`` (or the closed
-form cos I - i sin P) of each rotation's string.  The low-block and window
+form cos I - i sin P) of each rotation's string.  A circuit with Param slots
+compiles too, each slotted op a rotation step of its own, and a run with
+values is checked against ``run`` of the circuit bound to them.  The low-block and window
 strategies draw supports that skip qubits inside the window (such as
 {1, 3}), and place the window at qubit 0, at the top of the register and in
 between, so a matrix built over the support alone, a transposed matrix or a
@@ -27,12 +29,14 @@ from quasimo import simulator
 from quasimo.ansatz import symmetric_trotter_step, trotter_step
 from quasimo.circuit import (
     GATE_KINDS,
+    ArityMismatchError,
     Circuit,
     Gate,
     Param,
     PauliRotation,
     UnboundParametersError,
     rx,
+    rz,
 )
 from quasimo.model import bits_prep, create_model
 from quasimo.pauli import PauliOperator, PauliString
@@ -379,10 +383,78 @@ def test_sixteen_spin_symmetric_xxz_step_compiles_to_9_fused_steps():
     assert len(program.steps) == 9
 
 
-def test_compiling_an_unbound_circuit_raises():
+def test_an_unbound_circuit_compiles_and_running_it_without_values_raises():
     circuit = Circuit(1, (rx(0, Param(0)),), 1)
+    program = compile_circuit(circuit)
+    assert program.num_params == 1
     with pytest.raises(UnboundParametersError):
-        compile_circuit(circuit)
+        program.run()
+    with pytest.raises(UnboundParametersError):
+        program.run(StateVector(1), [])
+
+
+@pytest.mark.parametrize("values", [[0.1], [0.1, 0.2, 0.3]])
+def test_running_a_program_with_the_wrong_number_of_values_raises(values):
+    circuit = Circuit(2, (rx(0, Param(0)), Gate("CNOT", (0, 1)), rz(1, 2.0 * Param(1))), 2)
+    with pytest.raises(ArityMismatchError):
+        compile_circuit(circuit).run(None, values)
+    with pytest.raises(ArityMismatchError):
+        compile_circuit(Circuit(1, (rx(0, 0.3),))).run(None, values)
+
+
+scales = st.one_of(
+    st.sampled_from([1.0, -1.0, 2.0, 0.5]),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def slotted_circuits(draw):
+    """Random circuits on 1 to 8 qubits whose angles are floats or Param
+    slots (scaled or not) of one to four parameters, built in segments
+    inside pools of one to three qubits anywhere in the register, so bound
+    runs fuse at every window placement between slotted ops."""
+    n = draw(st.integers(1, 8))
+    num_params = draw(st.integers(1, 4))
+    ops = []
+    for _ in range(draw(st.integers(0, 5))):
+        pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        for op in pool_ops(draw, pool, draw(st.integers(1, 5))):
+            if op.angle is not None and draw(st.booleans()):
+                slot = Param(draw(st.integers(0, num_params - 1)), draw(scales))
+                if isinstance(op, PauliRotation):
+                    op = PauliRotation(op.string, slot)
+                else:
+                    op = Gate(op.kind, op.qubits, slot)
+            ops.append(op)
+    return Circuit(n, tuple(ops), num_params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slotted_circuits(), st.sampled_from(["none", "index", "state"]), st.data())
+def test_a_slotted_program_run_with_values_equals_the_bound_circuit_run(circuit, start, data):
+    n, num_params = circuit.num_qubits, circuit.num_params
+    values = data.draw(st.lists(angles, min_size=num_params, max_size=num_params))
+    if start == "none":
+        initial = None
+    elif start == "index":
+        initial = data.draw(st.integers(0, 2**n - 1))
+    else:
+        initial = StateVector(n, random_state(n, np.random.default_rng(data.draw(st.integers(0)))))
+    program = compile_circuit(circuit)
+    assert program.num_params == num_params
+    expected = run(circuit.bind_parameters(values), initial).amplitudes
+    assert np.allclose(program.run(initial, values).amplitudes, expected, rtol=0, atol=1e-12)
+    # Each slotted op is a step of its own, a rotation on the same slot, in
+    # order; a slotted Rx/Ry/Rz becomes its one-axis rotation at half scale.
+    slotted = [op for op in circuit.ops if isinstance(op.angle, Param)]
+    steps = [s for s in program.steps if isinstance(getattr(s, "angle", None), Param)]
+    assert all(isinstance(step, PauliRotation) for step in steps)
+    assert len(steps) == len(slotted)
+    for op, step in zip(slotted, steps):
+        assert step.qubits == op.qubits
+        half = 0.5 if isinstance(op, Gate) else 1.0
+        assert step.angle == Param(op.angle.index, op.angle.scale * half)
 
 
 @pytest.mark.parametrize("order", [1, 2])

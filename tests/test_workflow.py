@@ -3,7 +3,7 @@ import pytest
 
 from quasimo import workflow as workflow_mod
 from quasimo.ansatz import qaoa_ansatz, rx_ry
-from quasimo.circuit import Circuit, cancel_adjacent_inverses, h
+from quasimo.circuit import Circuit, Gate, PauliRotation, cancel_adjacent_inverses, h
 from quasimo.costfn import EvaluatorConfig, evaluate
 from quasimo.model import (
     HeisenbergParams,
@@ -488,6 +488,58 @@ def test_qaoa_and_vqe_match_the_inline_loop():
         [x0],
     )
     assert flow.execute(model) == expected
+
+
+class ConstructionCountingOptimizer(Optimizer):
+    """Records how many Circuit, Gate and PauliRotation objects each
+    objective call constructs, as counted into ``built``."""
+
+    def __init__(self, name, options, built):
+        super().__init__(name, options)
+        self.built, self.per_call = built, []
+
+    def minimize(self, f, x0):
+        def counted(x):
+            before = len(self.built)
+            value = f(x)
+            self.per_call.append(len(self.built) - before)
+            return value
+
+        return super().minimize(counted, x0)
+
+
+@pytest.mark.parametrize("case", ["qaoa", "vqe-sampled"])
+def test_objective_calls_after_the_first_construct_no_circuit_or_op(case, monkeypatch):
+    built = []
+    for cls in (Circuit, Gate, PauliRotation):
+        init = cls.__dict__["__post_init__"]
+
+        def counted(self, init=init, cls=cls):
+            built.append(cls)
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    if case == "qaoa":
+        model = create_star_maxcut(5)
+        optimizer = ConstructionCountingOptimizer("nelder-mead", {"budget": 40}, built)
+        config = {"steps": 2, "optimizer": optimizer, "starts": 2}
+    else:
+        model = create_model("h2", {})
+        optimizer = ConstructionCountingOptimizer("spsa", {"budget": 100}, built)
+        config = {"optimizer": optimizer, "shots": 100}
+    result = get_workflow(case.split("-")[0], config).execute(model)
+    assert len(optimizer.per_call) == result["evaluations"] > 1
+    assert optimizer.per_call[1:] == [0] * (len(optimizer.per_call) - 1)
+
+
+@pytest.mark.parametrize("name", ["time-dependent", "qite"])
+def test_a_parameterised_model_is_refused_by_check_model(name):
+    config = {"dt": 0.1, "steps": 1} if name == "time-dependent" else {"steps": 1, "step-size": 0.1}
+    flow = get_workflow(name, config)
+    model = create_model("h2", {})
+    for check in (flow.check_model, flow.execute):
+        with pytest.raises(ValueError, match="8 parameter"):
+            check(model)
 
 
 def test_qite_rejects_non_positive_norm_factor():
