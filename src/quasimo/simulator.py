@@ -14,6 +14,10 @@ X/Y axes reversed and each Z/Y sign negates one half-slice, so P psi takes
 one strided copy plus one in-place negation per Z/Y factor and no index
 arrays.  exp(-i*theta*P) psi = cos(theta) psi - i sin(theta) P psi.  A
 controlled P acts only on the control = 1 half-slice and copies the rest.
+``_pauli_plan`` prepares those view indices and the phase once per (string,
+n, control), and ``_pauli_product`` and ``_pauli_rotation`` run a plan.  A
+Program keeps its rotation steps' plans and a compiled observable its
+gathers'; every other call, a gate step's included, plans on the fly.
 Every gate runs through this kernel: X/Y/Z are strings, Rx/Ry/Rz rotations,
 S/Sdg the empty string with phase +-i controlled by their qubit, CNOT/CZ a
 controlled X/Z, and H one sum and one difference of its qubit's two
@@ -33,9 +37,11 @@ qubit of the window.  Those m qubits are the middle axis of the
 product on that view, reading and writing the state once.  The kernel builds
 every block matrix by running the ops on the identity's columns
 (``_block_matrix``), so every op kind is defined once, in the kernel
-dispatch.  An op on a Param slot is never fused: it is a PauliRotation step
-whose angle each run reads from its values.  Every other op stays a kernel
-step; ``run`` executes a circuit's ops unfused, through the same executor.
+dispatch; runs equal up to their window's offset share one matrix.  An op
+on a Param slot is never fused: it is a PauliRotation step whose angle each
+run reads from its values.  Every other op stays a kernel step.  A Program
+plans its rotation steps once, when made, so a run only fills in angles;
+``run`` executes a circuit's ops unfused, through the same executor.
 
 Compiled observables: ``compile_observable`` turns an operator, once per
 register width, into the one form that ``apply_operator`` and
@@ -182,33 +188,45 @@ def _tensor_index(n: int, qubit_slices) -> tuple:
     return tuple(index)
 
 
-def _pauli_product(amps: np.ndarray, factors, n: int, scale: complex, control=None) -> np.ndarray:
-    """scale * P|psi> as a new flat array; ``factors`` are P's (qubit, axis) pairs.
-
-    With a ``control`` qubit (not in P's support), scale * P acts only where
-    that qubit is 1 and the other half of the output is a copy.
-    """
-    scale *= (-1j) ** sum(axis == "Y" for _, axis in factors)
+def _pauli_plan(factors, n: int, control=None) -> tuple:
+    """P's kernel plan on n qubits, ``factors`` being P's (qubit, axis) pairs:
+    the view's shape, the phase (-i)^#Y, the source index (X/Y axes
+    reversed), the output's control = 1 half (None without a ``control``
+    qubit, which must lie outside P's support), one output half-slice index
+    per Z/Y factor, and whether scale 1 still copies (not for CZ)."""
+    on = () if control is None else ((control, _HALVES[1]),)
     flipped = tuple((q, _REVERSED) for q, axis in factors if axis != "Z")
-    if control is None:
-        on = ()
+    return (
+        (2,) * n,
+        (-1j) ** sum(axis == "Y" for _, axis in factors),
+        _tensor_index(n, on + flipped),
+        None if control is None else _tensor_index(n, on),
+        tuple(_tensor_index(n, on + ((q, _HALVES[1]),)) for q, axis in factors if axis != "X"),
+        control is None or bool(flipped),
+    )
+
+
+def _pauli_product(amps: np.ndarray, plan: tuple, scale: complex) -> np.ndarray:
+    """scale * P|psi> by P's ``plan``, as a new flat array; with a control,
+    the control = 0 half of the output is a copy."""
+    shape, phase, source, controlled, negated, copy = plan
+    scale *= phase
+    if controlled is None:
         out = np.empty_like(amps)
-        tensor = target = out.reshape([2] * n)
+        tensor = target = out.reshape(shape)
     else:
-        on = ((control, _HALVES[1]),)
         out = amps.copy()
-        tensor = out.reshape([2] * n)
-        target = tensor[_tensor_index(n, on)]
-    source = amps.reshape([2] * n)[_tensor_index(n, on + flipped)]
+        tensor = out.reshape(shape)
+        target = tensor[controlled]
+    source = amps.reshape(shape)[source]
     if scale != 1:
         np.multiply(source, scale, out=target)
-    elif control is None or flipped:  # a controlled Z-only string at scale 1 (CZ) keeps the copy
+    elif copy:  # a controlled Z-only string at scale 1 (CZ) keeps the copy
         np.copyto(target, source)
-    for q, axis in factors:
-        if axis != "X":
-            half = tensor[_tensor_index(n, on + ((q, _HALVES[1]),))]
-            # Not np.negative: numpy's complex negation is several times slower.
-            np.multiply(half, -1.0, out=half)
+    for index in negated:
+        half = tensor[index]
+        # Not np.negative: numpy's complex negation is several times slower.
+        np.multiply(half, -1.0, out=half)
     return out
 
 
@@ -224,10 +242,10 @@ def _hadamard(amps: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return out
 
 
-def _pauli_rotation(amps: np.ndarray, factors, theta: float, n: int, out=None) -> np.ndarray:
-    """exp(-i*theta*P)|psi>, written to ``out`` (which may be ``amps``) or a
-    new array."""
-    rotated = _pauli_product(amps, factors, n, -1j * sin(theta))
+def _pauli_rotation(amps: np.ndarray, plan: tuple, theta: float, out=None) -> np.ndarray:
+    """exp(-i*theta*P)|psi> by P's ``plan``, written to ``out`` (which may be
+    ``amps``) or a new array."""
+    rotated = _pauli_product(amps, plan, -1j * sin(theta))
     out = np.multiply(amps, cos(theta), out=out)
     out += rotated
     return out
@@ -239,20 +257,21 @@ def apply_gate(amps: np.ndarray, gate: Gate, n: int) -> np.ndarray:
         raise UnboundParametersError(f"gate {gate.dump()!r} has an unbound parameter")
     kind, qubit = gate.kind, gate.qubits[0]
     if kind in _PAULI_GATES:
-        return _pauli_product(amps, ((qubit, kind),), n, 1.0)
+        return _pauli_product(amps, _pauli_plan(((qubit, kind),), n), 1.0)
     if kind in _ROTATION_AXIS:
-        return _pauli_rotation(amps, ((qubit, _ROTATION_AXIS[kind]),), gate.angle / 2, n)
+        plan = _pauli_plan(((qubit, _ROTATION_AXIS[kind]),), n)
+        return _pauli_rotation(amps, plan, gate.angle / 2)
     if kind in _PHASE:
-        return _pauli_product(amps, (), n, _PHASE[kind], control=qubit)
+        return _pauli_product(amps, _pauli_plan((), n, control=qubit), _PHASE[kind])
     if kind == "H":
         return _hadamard(amps, qubit, n)
-    target = gate.qubits[1]
-    return _pauli_product(amps, ((target, _CONTROLLED_AXIS[kind]),), n, 1.0, control=qubit)
+    plan = _pauli_plan(((gate.qubits[1], _CONTROLLED_AXIS[kind]),), n, control=qubit)
+    return _pauli_product(amps, plan, 1.0)
 
 
 def apply_pauli_string(amps: np.ndarray, string: PauliString, n: int) -> np.ndarray:
     """P|psi> for a single Pauli string, as a new amplitude array."""
-    return _pauli_product(amps, string.factors, n, 1.0)
+    return _pauli_product(amps, _pauli_plan(string.factors, n), 1.0)
 
 
 def pauli_rows(strings, n: int) -> tuple:
@@ -273,10 +292,10 @@ def pauli_overlaps(rows: tuple, amps: np.ndarray, other: np.ndarray) -> np.ndarr
     return rotated.conj() @ other
 
 
-def _execute(ops, n: int, initial, values=()) -> StateVector:
-    """Apply ``ops`` (circuit ops and FusedBlocks, Param angles read from
-    ``values``) in order to the initial state; returns a new state and never
-    writes to ``initial``.
+def _execute(program: "Program", initial, values=()) -> StateVector:
+    """Run ``program``'s steps (circuit ops and FusedBlocks, Param angles read
+    from ``values``) in order on the initial state; returns a new state and
+    never writes to ``initial``.
 
     A caller's StateVector is not copied up front: FusedBlocks and gates
     read their input and return a new array, and a PauliRotation, which
@@ -284,6 +303,7 @@ def _execute(ops, n: int, initial, values=()) -> StateVector:
     ``amps`` is still the caller's.  Only when no step runs is the caller's
     array copied, once, at the end.
     """
+    n, steps, plans = program.num_qubits, program.steps, program.plans
     owned = True
     if isinstance(initial, StateVector):
         if initial.num_qubits != n:
@@ -296,15 +316,15 @@ def _execute(ops, n: int, initial, values=()) -> StateVector:
         index = 0 if initial is None else initial
         amps = StateVector.basis(n, index).amplitudes
         lead = 0
-        for op in ops:
+        for op in steps:
             if not (isinstance(op, Gate) and op.kind == "X"):
                 break
             amps[index] = 0.0
             index ^= 1 << op.qubits[0]
             amps[index] = 1.0
             lead += 1
-        ops = ops[lead:]
-    for op in ops:
+        steps, plans = steps[lead:], plans[lead:]
+    for op, plan in zip(steps, plans):
         if isinstance(op, FusedBlock):
             amps = op.apply(amps)
         elif isinstance(op, PauliRotation):
@@ -312,7 +332,7 @@ def _execute(ops, n: int, initial, values=()) -> StateVector:
             if isinstance(angle, Param):
                 angle = angle.scale * values[angle.index]
             out = amps if owned else None
-            amps = _pauli_rotation(amps, op.string.factors, angle, n, out=out)
+            amps = _pauli_rotation(amps, plan, angle, out=out)
         else:
             amps = apply_gate(amps, op, n)
         owned = True
@@ -333,29 +353,34 @@ def run(circuit: Circuit, initial=None) -> StateVector:
     return Program(circuit.num_qubits, circuit.ops, circuit.num_params).run(initial)
 
 
-def _block_matrix(group, qubits: tuple) -> np.ndarray:
+def _block_matrix(group, qubits: tuple, built: dict) -> np.ndarray:
     """Unitary of the bound ops ``group`` on ``qubits`` (m of them, the i-th
     qubit being bit i of the matrix index), built by the kernel.
 
     The ops move onto qubits m..2m-1 of a 2m-qubit register and run on the
     state whose amplitude r * 2^m + c is [r == c].  They touch only the high
     bits r, so column c of the identity becomes column c of their product.
+    ``built`` maps (m, moved ops) to a matrix already built, so equal
+    window-relative runs share one.
     """
     m = len(qubits)
     where = {q: m + i for i, q in enumerate(qubits)}
-    moved = [
+    moved = tuple(
         PauliRotation(PauliString({where[q]: axis for q, axis in op.string.factors}), op.angle)
         if isinstance(op, PauliRotation)
         else Gate(op.kind, tuple(where[q] for q in op.qubits), op.angle)
         for op in group
-    ]
-    identity = StateVector(2 * m, np.eye(1 << m, dtype=complex).ravel())
-    return _execute(moved, 2 * m, identity).amplitudes.reshape(1 << m, 1 << m)
+    )
+    if (m, moved) not in built:
+        identity = StateVector(2 * m, np.eye(1 << m, dtype=complex).ravel())
+        matrix = _execute(Program(2 * m, moved), identity).amplitudes.reshape(1 << m, 1 << m)
+        built[m, moved] = matrix
+    return built[m, moved]
 
 
 class FusedBlock:
     """A run of adjacent bound ops, as one small unitary built by the kernel
-    (``_block_matrix``).
+    (``_block_matrix``, sharing ``built`` matrices).
 
     ``qubits`` is the run's window lo..hi, ascending (see ``compile_circuit``),
     and ``matrix`` acts on all m of them, the i-th being bit i of the matrix
@@ -367,9 +392,9 @@ class FusedBlock:
 
     __slots__ = ("qubits", "matrix")
 
-    def __init__(self, group, qubits: tuple):
+    def __init__(self, group, qubits: tuple, built: dict):
         self.qubits = qubits
-        self.matrix = _block_matrix(group, qubits)
+        self.matrix = _block_matrix(group, qubits, built)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """The block applied to a flat n-qubit amplitude array, as a new array."""
@@ -386,6 +411,17 @@ class Program:
     num_qubits: int
     steps: tuple  # circuit ops and FusedBlocks, in program order
     num_params: int = 0  # Param slots, filled from each run's values
+    # Per step, a PauliRotation's kernel plan, built once here; None otherwise.
+    plans: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        plans = tuple(
+            _pauli_plan(step.string.factors, self.num_qubits)
+            if isinstance(step, PauliRotation)
+            else None
+            for step in self.steps
+        )
+        object.__setattr__(self, "plans", plans)
 
     def run(self, initial=None, values=()) -> StateVector:
         """As ``run(circuit, initial)``, with one value per slot.
@@ -399,7 +435,7 @@ class Program:
         if len(values) != self.num_params:
             error = ArityMismatchError if values else UnboundParametersError
             raise error(f"circuit has {self.num_params} parameter(s), got {len(values)} value(s)")
-        return _execute(self.steps, self.num_qubits, initial, values)
+        return _execute(self, initial, values)
 
 
 def compile_circuit(circuit: Circuit) -> Program:
@@ -407,9 +443,10 @@ def compile_circuit(circuit: Circuit) -> Program:
 
     Walks the ops once and folds every maximal run of two or more adjacent
     bound ops whose window spans at most ``WINDOW`` qubits into one
-    FusedBlock, the product of the ops' matrices in program order.  A run's
-    window is min(S)..max(S) of its joint support S, or 0..max(S) when
-    min(S) < ``SHORT_ROWS``.  An op on a Param slot ends the run and is a
+    FusedBlock, the product of the ops' matrices in program order; runs
+    equal up to their window's offset share one matrix.  A run's window is
+    min(S)..max(S) of its joint support S, or 0..max(S) when min(S) <
+    ``SHORT_ROWS``.  An op on a Param slot ends the run and is a
     PauliRotation step (Rx/Ry/Rz at half the slot's scale).  Nothing is
     reordered, so the program is the circuit's unitary up to rounding; every
     other op stays a kernel step, among them every op whose own window is
@@ -417,12 +454,13 @@ def compile_circuit(circuit: Circuit) -> Program:
     """
     steps = []
     group, lo, hi = [], 0, 0
+    built = {}
 
     def close():
         if len(group) == 1:
             steps.append(group[0])
         elif group:
-            steps.append(FusedBlock(group, tuple(range(lo, hi + 1))))
+            steps.append(FusedBlock(group, tuple(range(lo, hi + 1)), built))
 
     for op in circuit.ops:
         if isinstance(op.angle, Param):
@@ -454,6 +492,7 @@ class CompiledObservable(NamedTuple):
     coeffs: np.ndarray  # per slot, c * (-i)^#Y
     phases: np.ndarray  # per slot, (-i)^#Y, as a column
     terms: tuple  # (c.real, slot) in terms() order; slot -1 for the constant
+    gathers: tuple  # per group, the plan of psi -> psi[k ^ x]; None for x = 0
 
 
 def _diagonal(terms, n: int, dtype):
@@ -487,7 +526,11 @@ def compile_observable(op: PauliOperator, n: int) -> CompiledObservable:
         measured = sorted((s.x, k) for k, (s, _) in enumerate(terms) if not s.is_identity)
         masks = [x for x, _ in measured]
         z_only = masks.count(0)
-        _, rows, phases = pauli_rows([terms[k][0] for _, k in measured[z_only:]], n)
+        xy = [terms[k][0] for _, k in measured[z_only:]]
+        if xy:
+            _, rows, phases = pauli_rows(xy, n)
+        else:  # a Z-only operator needs no rows
+            rows, phases = np.empty((0, 1 << n), np.int8), np.empty(0, complex)
         phases = np.concatenate([np.ones(z_only, dtype=complex), phases])[:, None]
         coeffs = np.array([terms[k][1] for _, k in measured], dtype=complex) * phases[:, 0]
         dtype = complex if any(c.imag for s, c in terms if not s.x) else float
@@ -500,16 +543,16 @@ def compile_observable(op: PauliOperator, n: int) -> CompiledObservable:
             (masks[a], a, b, rows[a - z_only : b - z_only] if masks[a] else None)
             for a, b in zip(starts, starts[1:] + [len(masks)])
         )
+        gathers = tuple(
+            _pauli_plan(PauliString.from_masks(x, 0).factors, n) if x else None
+            for x, *_ in groups
+        )
         slot_of = {k: slot for slot, (_, k) in enumerate(measured)}
         terms = tuple((c.real, slot_of.get(k, -1)) for k, (_, c) in enumerate(terms))
-        compiled = op._compiled = CompiledObservable(n, diagonal, groups, coeffs, phases, terms)
+        compiled = op._compiled = CompiledObservable(
+            n, diagonal, groups, coeffs, phases, terms, gathers
+        )
     return compiled
-
-
-def _xor_gather(amps: np.ndarray, x: int, n: int) -> np.ndarray:
-    """psi[k ^ x] for every k, as one strided copy of the [2]*n view."""
-    flips = tuple((q, _REVERSED) for q in range(n) if x >> q & 1)
-    return amps.reshape([2] * n)[_tensor_index(n, flips)].ravel()
 
 
 def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
@@ -519,9 +562,9 @@ def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
     ``CHUNK_AMPLITUDES`` // t) amplitudes at a time and never stored."""
     compiled = compile_observable(op, n)
     out = compiled.diagonal * amps
-    for x, start, stop, rows in compiled.groups:
+    for (x, start, stop, rows), gather in zip(compiled.groups, compiled.gathers):
         if x:
-            flipped = _xor_gather(amps, x, n)
+            flipped = _pauli_product(amps, gather, 1.0)
             span = max(1, CHUNK_AMPLITUDES // (stop - start))
             for lo in range(0, len(amps), span):
                 part = flipped[lo : lo + span]
@@ -544,8 +587,8 @@ def parity_masses(amps: np.ndarray, op: PauliOperator, n: int) -> list:
     at_once = max(1, CHUNK_AMPLITUDES >> n)
     # Row 0: ||psi + P psi||^2 per slot; row 1: ||psi - P psi||^2.
     norms = np.empty((2, len(compiled.coeffs)))
-    for x, start, stop, rows in groups:
-        flipped = _xor_gather(amps, x, n) if x else amps
+    for (x, start, stop, rows), gather in zip(groups, compiled.gathers):
+        flipped = _pauli_product(amps, gather, 1.0) if x else amps
         for lo in range(start, stop, at_once):
             hi = min(lo + at_once, stop)
             pair = np.empty((2, hi - lo, len(amps)), dtype=complex)

@@ -381,6 +381,18 @@ def test_sixteen_spin_symmetric_xxz_step_compiles_to_9_fused_steps():
     assert [s.qubits for s in program.steps] == up + [(12, 13, 14, 15)] + up[::-1]
     assert all(len(s.matrix) == 2**4 for s in program.steps)
     assert len(program.steps) == 9
+    # Equal runs on shifted windows share one matrix: the first window, the
+    # middle ones (equal bonds) and the top.
+    assert len({id(block.matrix) for block in program.steps}) == 3
+    # Runs are maximal, so each block's ops are the longest run of the
+    # remaining ops inside its window.
+    ops = list(step.ops)
+    for block in program.steps:
+        group = []
+        while ops and set(window(ops[0].qubits)) <= set(block.qubits):
+            group.append(ops.pop(0))
+        assert np.array_equal(block.matrix, simulator._block_matrix(group, block.qubits, {}))
+    assert ops == []
 
 
 def test_an_unbound_circuit_compiles_and_running_it_without_values_raises():
@@ -430,17 +442,21 @@ def slotted_circuits(draw):
     return Circuit(n, tuple(ops), num_params)
 
 
+def draw_initial(start, n, data):
+    """None, a basis index or a random StateVector, as ``start`` names."""
+    if start == "none":
+        return None
+    if start == "index":
+        return data.draw(st.integers(0, 2**n - 1))
+    return StateVector(n, random_state(n, np.random.default_rng(data.draw(st.integers(0)))))
+
+
 @settings(max_examples=200, deadline=None)
 @given(slotted_circuits(), st.sampled_from(["none", "index", "state"]), st.data())
 def test_a_slotted_program_run_with_values_equals_the_bound_circuit_run(circuit, start, data):
     n, num_params = circuit.num_qubits, circuit.num_params
     values = data.draw(st.lists(angles, min_size=num_params, max_size=num_params))
-    if start == "none":
-        initial = None
-    elif start == "index":
-        initial = data.draw(st.integers(0, 2**n - 1))
-    else:
-        initial = StateVector(n, random_state(n, np.random.default_rng(data.draw(st.integers(0)))))
+    initial = draw_initial(start, n, data)
     program = compile_circuit(circuit)
     assert program.num_params == num_params
     expected = run(circuit.bind_parameters(values), initial).amplitudes
@@ -474,3 +490,33 @@ def test_time_dependent_run_matches_the_op_by_op_series(order):
         state = run(step, state)
         expected.append(expectation(state, model.observable))
     assert np.allclose(values, expected, rtol=0, atol=1e-12)
+
+
+@st.composite
+def slotted_rotation_circuits(draw):
+    """One to twelve rotations exp(-i*scale*theta_j*P) on 1 to 10 qubits,
+    each on a random non-identity X/Y/Z string and a Param slot of one to
+    four parameters."""
+    n = draw(st.integers(1, 10))
+    num_params = draw(st.integers(1, 4))
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        axes = draw(st.lists(st.sampled_from("XYZ"), min_size=len(qubits), max_size=len(qubits)))
+        slot = Param(draw(st.integers(0, num_params - 1)), draw(scales))
+        ops.append(PauliRotation(PauliString(dict(zip(qubits, axes))), slot))
+    return Circuit(n, tuple(ops), num_params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slotted_rotation_circuits(), st.sampled_from(["none", "index", "state"]), st.data())
+def test_planned_rotations_equal_the_bound_circuit_run_bit_for_bit(circuit, start, data):
+    # The program runs the plans it built at compile time; ``run`` builds
+    # them for the bound circuit's rotations.  Same angles, same arithmetic.
+    n, num_params = circuit.num_qubits, circuit.num_params
+    values = data.draw(st.lists(angles, min_size=num_params, max_size=num_params))
+    initial = draw_initial(start, n, data)
+    program = compile_circuit(circuit)
+    assert program.steps == circuit.ops and len(program.plans) == len(program.steps)
+    expected = run(circuit.bind_parameters(values), initial).amplitudes
+    assert np.array_equal(program.run(initial, values).amplitudes, expected)

@@ -168,6 +168,17 @@ def test_a_z_only_observable_compiles_to_its_diagonal_alone():
     assert sampled.groups[0][3].shape == (16, 1 << 16) and sampled.diagonal is compiled.diagonal
 
 
+def test_a_z_only_observable_compiles_without_sign_rows(monkeypatch):
+    calls = []
+    rows = simulator.pauli_rows
+    monkeypatch.setattr(simulator, "pauli_rows", lambda *args: calls.append(args) or rows(*args))
+    op = staggered_magnetization(8) + 0.5  # dyadic coefficients: every sum is exact
+    compiled = compile_observable(op, 8)
+    assert calls == []
+    assert np.array_equal(compiled.diagonal, _reference_diagonal(op, 8))
+    assert compiled.gathers == (None,)
+
+
 def test_x_y_groups_share_one_sign_row_table(rng):
     hamiltonian = create_model("heisenberg", {"num_spins": 6, "Jz": 0.25}).hamiltonian
     compiled = compile_observable(hamiltonian, 6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quasimo import simulator
 from quasimo import workflow as workflow_mod
 from quasimo.ansatz import qaoa_ansatz, rx_ry
 from quasimo.circuit import Circuit, Gate, PauliRotation, cancel_adjacent_inverses, h
@@ -491,7 +492,7 @@ def test_qaoa_and_vqe_match_the_inline_loop():
 
 
 class ConstructionCountingOptimizer(Optimizer):
-    """Records how many Circuit, Gate and PauliRotation objects each
+    """Records how many objects (Circuits, ops or kernel plans) each
     objective call constructs, as counted into ``built``."""
 
     def __init__(self, name, options, built):
@@ -528,6 +529,35 @@ def test_objective_calls_after_the_first_construct_no_circuit_or_op(case, monkey
         optimizer = ConstructionCountingOptimizer("spsa", {"budget": 100}, built)
         config = {"optimizer": optimizer, "shots": 100}
     result = get_workflow(case.split("-")[0], config).execute(model)
+    assert len(optimizer.per_call) == result["evaluations"] > 1
+    assert optimizer.per_call[1:] == [0] * (len(optimizer.per_call) - 1)
+
+
+@pytest.mark.parametrize("case", ["qaoa", "vqe-sampled"])
+def test_objective_calls_after_the_first_build_no_kernel_plan_or_tensor_index(case, monkeypatch):
+    # The compiled ansatz holds every rotation step's plan, and the
+    # observable's compiled form (built by the first call) its gathers'.  A
+    # gate left unfused, such as the fifth H of a 5-node QAOA, still plans
+    # per call; on 8 nodes every H is in a fused block.
+    built = []
+    for name in ("_pauli_plan", "_tensor_index"):
+        function = getattr(simulator, name)
+
+        def counted(*args, function=function, name=name, **kwargs):
+            built.append(name)
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, name, counted)
+    if case == "qaoa":
+        model = create_star_maxcut(8)
+        optimizer = ConstructionCountingOptimizer("nelder-mead", {"budget": 40}, built)
+        config = {"steps": 3, "optimizer": optimizer, "starts": 2}
+    else:
+        model = create_model("h2", {})
+        optimizer = ConstructionCountingOptimizer("spsa", {"budget": 100}, built)
+        config = {"optimizer": optimizer, "shots": 100}
+    result = get_workflow(case.split("-")[0], config).execute(model)
+    assert built  # compiling the ansatz built its plans
     assert len(optimizer.per_call) == result["evaluations"] > 1
     assert optimizer.per_call[1:] == [0] * (len(optimizer.per_call) - 1)
 
