@@ -93,8 +93,23 @@ class Param:
         return f"{self.scale!r}*p{self.index}"
 
 
+def _bound(op, values):
+    """``op`` with its slot's value from ``values`` as its angle, unchecked, as
+    ``Program.run`` reads it; optimizers report a non-finite result."""
+    if not isinstance(op.angle, Param):
+        return op
+    copy = object.__new__(type(op))
+    for name in type(op).__slots__:
+        object.__setattr__(copy, name, getattr(op, name))
+    object.__setattr__(copy, "angle", float(op.angle.scale * values[op.angle.index]))
+    return copy
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
+    """One gate: ``qubits`` are non-negative ints (numpy integers convert) and
+    ``angle`` a finite float, a Param slot or None; else a ValueError names it."""
+
     kind: str
     qubits: tuple
     angle: object = None  # float | Param | None
@@ -104,6 +119,11 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         arity, takes_angle = GATE_KINDS[self.kind]
         qubits = tuple(self.qubits)
+        if not all(type(q) is int and q >= 0 for q in qubits):  # builders pass plain ints
+            for q in qubits:
+                if isinstance(q, bool) or not isinstance(q, Integral) or q < 0:
+                    raise ValueError(f"{self.kind} qubit must be a non-negative int, got {q!r}")
+            qubits = tuple(map(int, qubits))
         object.__setattr__(self, "qubits", qubits)
         if len(qubits) != arity:
             raise ValueError(f"{self.kind} takes {arity} qubit(s), got {qubits}")
@@ -114,6 +134,8 @@ class Gate:
                 raise ValueError(f"{self.kind} needs an angle")
             if not isinstance(self.angle, Param):
                 object.__setattr__(self, "angle", float(self.angle))
+                if not isfinite(self.angle):
+                    raise ValueError(f"{self.kind} needs a finite angle, got {self.angle!r}")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
@@ -121,10 +143,7 @@ class Gate:
     def is_bound(self) -> bool:
         return not isinstance(self.angle, Param)
 
-    def bound(self, values) -> "Gate":
-        if isinstance(self.angle, Param):
-            return Gate(self.kind, self.qubits, self.angle.scale * values[self.angle.index])
-        return self
+    bound = _bound
 
     def inverse(self) -> "Gate":
         if self.kind in _SELF_INVERSE:
@@ -152,12 +171,13 @@ class Gate:
 class PauliRotation:
     """The block exp(-i*angle*P) for a non-identity Pauli string P.
 
-    ``angle`` is a float or a Param slot.  ``qubits`` is the string's
+    ``angle`` is a finite float or a Param slot.  ``qubits`` is the string's
     support.  ``gates`` is the gate-level expansion: change of basis into Z,
     CNOT ladder onto the highest-index support qubit, Rz(2*angle), then undo.
 
     Raises:
         IdentityStringError: if ``string`` is the identity.
+        ValueError: if a bound ``angle`` is a NaN or an infinity.
     """
 
     string: PauliString
@@ -169,12 +189,11 @@ class PauliRotation:
             raise IdentityStringError("exp_pauli of the identity string is a global phase")
         if not isinstance(self.angle, Param):
             object.__setattr__(self, "angle", float(self.angle))
+            if not isfinite(self.angle):
+                raise ValueError(f"exp_pauli({self.string}) needs a finite angle, got {self.angle!r}")
         object.__setattr__(self, "qubits", self.string.support)
 
-    def bound(self, values) -> "PauliRotation":
-        if isinstance(self.angle, Param):
-            return PauliRotation(self.string, self.angle.scale * values[self.angle.index])
-        return self
+    bound = _bound
 
     def inverse(self) -> "PauliRotation":
         return PauliRotation(self.string, -self.angle)

@@ -6,8 +6,8 @@ each term is one binomial draw, estimated as (2*hits - shots)/shots.
 
 ``simulator.parity_masses`` computes every term's p_even from the
 observable's compiled form; this module only draws.  A draw restores the
-starting state of ``default_rng([seed, k])``, saved once per (seed, k), onto
-the calling thread's own generator, so it draws what a fresh one would.
+starting state of ``default_rng([seed, k])``, saved per (seed, term count),
+onto the calling thread's own generator, so it draws what a fresh one would.
 """
 
 import functools
@@ -32,8 +32,8 @@ class EvaluatorConfig:
     ``shots == 0`` is exact; ``1 <= shots <= MAX_SHOTS`` is the per-term
     tomography budget.
     ``seed`` makes sampling deterministic; term k of a given evaluation draws
-    from the PCG64 stream seeded with (seed, k).  The stream's starting state
-    is saved once per (seed, k), whatever the observable, and restored before
+    from the PCG64 stream seeded with (seed, k).  Its starting state is saved
+    once per (seed, term count), whatever the observable, and restored before
     every draw, so each evaluation draws the same numbers as a fresh
     ``default_rng([seed, k])``.  Both fields convert through
     ``optimizer.as_int``: a bool or a non-integral number raises a ValueError
@@ -62,25 +62,26 @@ def _thread_generator():
     return generator
 
 
-# A saved generator state, with its cache entry, is about 700 B (tracemalloc),
-# so 1024 of them, every term of H2's 15 under 68 seeds, cost about 0.7 MB.
-@functools.lru_cache(maxsize=1024)
-def _stream_state(seed: int, k: int) -> dict:
-    """The starting state of ``default_rng([seed, k])``, one dict shared by
-    every observable sampled with ``seed``: read it, never modify it."""
-    return np.random.default_rng([seed, k]).bit_generator.state
+# An entry holds one saved generator state per term, about 530 B each
+# (tracemalloc): H2's 15 terms take 8 kB, so 64 seeds of it cost about 0.5 MB.
+@functools.lru_cache(maxsize=64)
+def _stream_states(seed: int, count: int) -> tuple:
+    """The starting states of ``default_rng([seed, k])`` for k < ``count``,
+    shared by every observable of ``count`` terms: read, never modify them."""
+    return tuple(np.random.default_rng([seed, k]).bit_generator.state for k in range(count))
 
 
 def _tomography_state(state: StateVector, obs: PauliOperator, shots: int, seed) -> float:
     generator = _thread_generator()
     bits = generator.bit_generator
+    masses = parity_masses(state.amplitudes, obs, state.num_qubits)
     total = 0.0
-    for k, (coeff, p_even) in enumerate(parity_masses(state.amplitudes, obs, state.num_qubits)):
+    for (coeff, p_even), stream in zip(masses, _stream_states(seed, len(masses))):
         if p_even is None:
             # Constants are never measured.
             total += coeff
             continue
-        bits.state = _stream_state(seed, k)
+        bits.state = stream
         hits = generator.binomial(shots, p_even)
         total += coeff * (2 * hits - shots) / shots
     return total
@@ -108,9 +109,9 @@ class CostFunctionEvaluator:
     """An EvaluatorConfig bundled with its evaluate calls.
 
     Holds no mutable state between calls.  Sampled evaluation memoises the
-    observable's compiled form on the operator, saves each (seed, k) state
-    once for all observables, and draws from the calling thread's own
-    generator, so concurrent evaluations are safe; distinct seeds give them
+    observable's compiled form on the operator, saves the (seed, k) states
+    per term count for all observables, and draws from the calling thread's
+    own generator, so concurrent evaluations are safe; distinct seeds give them
     independent draws.
     """
 

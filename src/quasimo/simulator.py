@@ -24,7 +24,7 @@ controlled X/Z, and H one sum and one difference of its qubit's two
 half-slices.  Pauli strings, Pauli-sum operators, expectation values and
 exp(-i*theta*P) blocks run through it too.  ``pauli_rows`` writes the same
 action for a batch of strings as one table (x masks, int8 sign rows, phases),
-which compiled observables and the QITE step share.
+which sampled tomography and the QITE step share.
 
 Compiled programs: ``compile_circuit`` turns a circuit that runs many times
 (a Trotter step, a variational ansatz) into a Program.  A run of bound ops
@@ -45,16 +45,15 @@ plans its rotation steps once, when made, so a run only fills in angles;
 
 Compiled observables: ``compile_observable`` turns an operator, once per
 register width, into the one form that ``apply_operator`` and
-``parity_masses`` read (no other module reads its fields): its x = 0 terms
-and constant fold into a diagonal D, and each X/Y group of one x mask keeps
-int8 sign rows from ``pauli_rows``, so (P psi)[k] = phase * sign[k] *
-psi[k ^ x].  H psi = D psi + the sum of D_x psi[k ^ x], one gather per
-group, with D_x = sum of c * (-i)^#Y * sign row, folded a slice at a time,
-and ``expectation`` is Re <psi|H psi>.  ``parity_masses`` gets every term's
-||psi +/- P psi||^2 in one vectorised pass per group, max(1,
-``CHUNK_AMPLITUDES`` >> n) terms at a time; both are sums of squares, so
-p_even lies in [0, 1] unclamped, and their sum, 4 ||psi||^2, checks the
-state's norm for free.  Its first call on a width adds the x = 0 sign rows.
+``parity_masses`` read (no other module reads its fields): per x mask, x = 0
+first, D_x[k] = sum of c * (-i)^#Y * (-1)^popcount(k & z) over its terms
+(and the constant, for x = 0), a scalar if none has a Z/Y factor, and the
+plan of the gather psi[k ^ x].  H psi = D_0 psi plus D_x psi[k ^ x] per X/Y
+group, and ``expectation`` is Re <psi|H psi>.  ``parity_masses`` gets every
+term's ||psi +/- P psi||^2 in one vectorised pass per group, max(1,
+``CHUNK_AMPLITUDES`` >> n) terms at a time, from sign rows that its first
+call on a width builds; both are sums of squares, so p_even lies in [0, 1]
+unclamped, and their sum, 4 ||psi||^2, checks the state's norm for free.
 """
 
 from dataclasses import dataclass, field
@@ -82,7 +81,7 @@ SHORT_ROWS = 3
 # How far a sampled state's squared norm may drift from 1 (see ``sample``).
 SAMPLE_NORM_TOL = 1e-8
 
-CHUNK_AMPLITUDES = 1 << 16  # compiled observables' temporaries, in amplitudes
+CHUNK_AMPLITUDES = 1 << 16  # parity_masses' temporaries, in amplitudes
 
 _SQRT2_INV = 2**-0.5
 
@@ -192,24 +191,22 @@ def _pauli_plan(factors, n: int, control=None) -> tuple:
     """P's kernel plan on n qubits, ``factors`` being P's (qubit, axis) pairs:
     the view's shape, the phase (-i)^#Y, the source index (X/Y axes
     reversed), the output's control = 1 half (None without a ``control``
-    qubit, which must lie outside P's support), one output half-slice index
-    per Z/Y factor, and whether scale 1 still copies (not for CZ)."""
+    qubit, which must lie outside P's support) and one output half-slice
+    index per Z/Y factor."""
     on = () if control is None else ((control, _HALVES[1]),)
-    flipped = tuple((q, _REVERSED) for q, axis in factors if axis != "Z")
     return (
         (2,) * n,
         (-1j) ** sum(axis == "Y" for _, axis in factors),
-        _tensor_index(n, on + flipped),
+        _tensor_index(n, on + tuple((q, _REVERSED) for q, axis in factors if axis != "Z")),
         None if control is None else _tensor_index(n, on),
         tuple(_tensor_index(n, on + ((q, _HALVES[1]),)) for q, axis in factors if axis != "X"),
-        control is None or bool(flipped),
     )
 
 
 def _pauli_product(amps: np.ndarray, plan: tuple, scale: complex) -> np.ndarray:
     """scale * P|psi> by P's ``plan``, as a new flat array; with a control,
     the control = 0 half of the output is a copy."""
-    shape, phase, source, controlled, negated, copy = plan
+    shape, phase, source, controlled, negated = plan
     scale *= phase
     if controlled is None:
         out = np.empty_like(amps)
@@ -221,7 +218,7 @@ def _pauli_product(amps: np.ndarray, plan: tuple, scale: complex) -> np.ndarray:
     source = amps.reshape(shape)[source]
     if scale != 1:
         np.multiply(source, scale, out=target)
-    elif copy:  # a controlled Z-only string at scale 1 (CZ) keeps the copy
+    else:
         np.copyto(target, source)
     for index in negated:
         half = tensor[index]
@@ -487,12 +484,9 @@ class CompiledObservable(NamedTuple):
     """An operator on one width; measured terms' slots run by x mask, then term."""
 
     num_qubits: int
-    diagonal: np.ndarray  # D[k] over the x = 0 terms and the constant; real if they are
-    groups: tuple  # per x mask, ascending: (x, first slot, end slot, int8 sign rows)
-    coeffs: np.ndarray  # per slot, c * (-i)^#Y
-    phases: np.ndarray  # per slot, (-i)^#Y, as a column
+    groups: tuple  # per x mask, ascending from 0: (x, D_x, gather plan, first slot, end slot)
     terms: tuple  # (c.real, slot) in terms() order; slot -1 for the constant
-    gathers: tuple  # per group, the plan of psi -> psi[k ^ x]; None for x = 0
+    rows: tuple = None  # per slot, int8 sign rows and (-i)^#Y as a column; see parity_masses
 
 
 def _diagonal(terms, n: int, dtype):
@@ -512,8 +506,8 @@ def _diagonal(terms, n: int, dtype):
 def compile_observable(op: PauliOperator, n: int) -> CompiledObservable:
     """``op``'s one compiled form on n qubits (see the module docstring),
     memoised on the operator for the last width asked and replaced whole, so
-    a racing thread can only drop work, which the next call redoes.  The
-    x = 0 group holds no sign rows until ``parity_masses`` adds them.
+    a racing thread can only drop work, which the next call redoes.  It holds
+    no sign rows until ``parity_masses`` adds them.
 
     Raises:
         WidthMismatchError: op touches a qubit outside the register.
@@ -523,53 +517,35 @@ def compile_observable(op: PauliOperator, n: int) -> CompiledObservable:
         if op.width > n:
             raise WidthMismatchError(f"operator touches qubit {op.width - 1} on a {n}-qubit state")
         terms = op.terms()
+        by_mask = {0: []}  # x -> (z, c * (-i)^#Y) in terms() order, the constant under x = 0
+        for s, c in terms:
+            by_mask.setdefault(s.x, []).append((s.z, c * (-1j) ** (s.x & s.z).bit_count()))
+        groups, end = [], 0
+        for x in sorted(by_mask):
+            parts = by_mask[x]
+            dtype = complex if any(c.imag for _, c in parts) else float
+            parts = [(z, c if dtype is complex else c.real) for z, c in parts]
+            diagonal = np.asarray(_diagonal(parts, n, dtype), dtype)
+            diagonal.flags.writeable = False  # shared by every thread that reads op
+            gather = _pauli_plan(PauliString.from_masks(x, 0).factors, n) if x else None
+            first, end = end, end + sum(1 for z, _ in parts if x or z)
+            groups.append((x, diagonal, gather, first, end))
         measured = sorted((s.x, k) for k, (s, _) in enumerate(terms) if not s.is_identity)
-        masks = [x for x, _ in measured]
-        z_only = masks.count(0)
-        xy = [terms[k][0] for _, k in measured[z_only:]]
-        if xy:
-            _, rows, phases = pauli_rows(xy, n)
-        else:  # a Z-only operator needs no rows
-            rows, phases = np.empty((0, 1 << n), np.int8), np.empty(0, complex)
-        phases = np.concatenate([np.ones(z_only, dtype=complex), phases])[:, None]
-        coeffs = np.array([terms[k][1] for _, k in measured], dtype=complex) * phases[:, 0]
-        dtype = complex if any(c.imag for s, c in terms if not s.x) else float
-        z_terms = [(s.z, c if dtype is complex else c.real) for s, c in terms if not s.x]
-        diagonal = np.broadcast_to(np.asarray(_diagonal(z_terms, n, dtype), dtype), 1 << n)
-        for table in (rows, phases, coeffs):  # the diagonal is a read-only view
-            table.flags.writeable = False  # shared by every thread that reads op
-        starts = [s for s in range(len(masks)) if s == 0 or masks[s] != masks[s - 1]]
-        groups = tuple(
-            (masks[a], a, b, rows[a - z_only : b - z_only] if masks[a] else None)
-            for a, b in zip(starts, starts[1:] + [len(masks)])
-        )
-        gathers = tuple(
-            _pauli_plan(PauliString.from_masks(x, 0).factors, n) if x else None
-            for x, *_ in groups
-        )
         slot_of = {k: slot for slot, (_, k) in enumerate(measured)}
         terms = tuple((c.real, slot_of.get(k, -1)) for k, (_, c) in enumerate(terms))
-        compiled = op._compiled = CompiledObservable(
-            n, diagonal, groups, coeffs, phases, terms, gathers
-        )
+        compiled = op._compiled = CompiledObservable(n, tuple(groups), terms)
     return compiled
 
 
 def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
-    """A|psi> for a Pauli-sum operator (not unitary in general): D psi plus
-    D_x psi[k ^ x] per X/Y group of its compiled form, with D_x = sum of
-    c * (-i)^#Y * sign row over the group's t terms, folded max(1,
-    ``CHUNK_AMPLITUDES`` // t) amplitudes at a time and never stored."""
-    compiled = compile_observable(op, n)
-    out = compiled.diagonal * amps
-    for (x, start, stop, rows), gather in zip(compiled.groups, compiled.gathers):
-        if x:
-            flipped = _pauli_product(amps, gather, 1.0)
-            span = max(1, CHUNK_AMPLITUDES // (stop - start))
-            for lo in range(0, len(amps), span):
-                part = flipped[lo : lo + span]
-                part *= compiled.coeffs[start:stop] @ rows[:, lo : lo + span]
-                out[lo : lo + span] += part
+    """A|psi> for a Pauli-sum operator (not unitary in general): D_0 psi plus
+    D_x psi[k ^ x] per X/Y group of its compiled form, one gather each."""
+    (_, diagonal, *_), *groups = compile_observable(op, n).groups
+    out = diagonal * amps
+    for _, diagonal, gather, *_ in groups:
+        flipped = _pauli_product(amps, gather, 1.0)
+        flipped *= diagonal
+        out += flipped
     return out
 
 
@@ -578,22 +554,23 @@ def parity_masses(amps: np.ndarray, op: PauliOperator, n: int) -> list:
     constant (see the module docstring); a state whose squared norm is not
     finite or is further than ``SAMPLE_NORM_TOL`` from 1 raises a ValueError."""
     compiled = compile_observable(op, n)
-    groups = compiled.groups
-    if groups and groups[0][3] is None:
-        _, rows, _ = pauli_rows([s for s, _ in op.terms() if not s.x and not s.is_identity], n)
-        rows.flags.writeable = False
-        groups = ((*groups[0][:3], rows), *groups[1:])
-        compiled = op._compiled = compiled._replace(groups=groups)
+    if compiled.rows is None:
+        order = sorted(zip(compiled.terms, op.terms()), key=lambda pair: pair[0][1])
+        _, signs, phases = pauli_rows([s for (_, slot), (s, _) in order if slot >= 0], n)
+        phases = phases[:, None]
+        signs.flags.writeable = phases.flags.writeable = False
+        compiled = op._compiled = compiled._replace(rows=(signs, phases))
+    signs, phases = compiled.rows
     at_once = max(1, CHUNK_AMPLITUDES >> n)
     # Row 0: ||psi + P psi||^2 per slot; row 1: ||psi - P psi||^2.
-    norms = np.empty((2, len(compiled.coeffs)))
-    for (x, start, stop, rows), gather in zip(groups, compiled.gathers):
+    norms = np.empty((2, len(signs)))
+    for x, _, gather, start, stop in compiled.groups:
         flipped = _pauli_product(amps, gather, 1.0) if x else amps
         for lo in range(start, stop, at_once):
             hi = min(lo + at_once, stop)
             pair = np.empty((2, hi - lo, len(amps)), dtype=complex)
-            np.multiply(rows[lo - start : hi - start], flipped, out=pair[1])  # P psi
-            pair[1] *= compiled.phases[lo:hi]
+            np.multiply(signs[lo:hi], flipped, out=pair[1])  # P psi
+            pair[1] *= phases[lo:hi]
             np.add(amps, pair[1], out=pair[0])
             np.subtract(amps, pair[1], out=pair[1])
             parts = pair.view(np.float64)

@@ -192,9 +192,11 @@ def test_cancel_rz_opposite_angles(pair, cancels):
 
 
 def _every_gate():
-    """Every kind on both qubit orders; rotations at signed zero, +-0.4, +-pi,
-    NaN and at Param slots with scales +-1, +-2 and +-0."""
-    floats = [0.0, -0.0, 0.4, -0.4, np.pi, -np.pi, float("nan")]
+    """Every kind on both qubit orders; rotations at signed zero, +-0.4, +-pi
+    and at Param slots with scales +-1, +-2 and +-0.  A gate refuses a NaN
+    angle; a NaN bound from a slot is checked in
+    ``test_a_non_finite_slot_value_is_bound_unrefused``."""
+    floats = [0.0, -0.0, 0.4, -0.4, np.pi, -np.pi]
     params = [Param(0, scale) for scale in (1.0, -1.0, 2.0, -2.0, 0.0, -0.0)] + [Param(1)]
     for kind, (arity, takes_angle) in GATE_KINDS.items():
         for qubits in ([(0,), (1,)] if arity == 1 else [(0, 1), (1, 0)]):
@@ -242,6 +244,41 @@ def test_gate_validation():
         Gate("Rx", (0,))
     with pytest.raises(WidthMismatchError):
         Circuit(1, (cnot(0, 1),))
+
+
+@pytest.mark.parametrize("qubit", [-1, True, np.True_, 1.0, 0.5, "0", None], ids=repr)
+@pytest.mark.parametrize("kind", ["X", "H"])
+def test_gate_refuses_a_negative_bool_or_non_integral_qubit(kind, qubit):
+    with pytest.raises(ValueError, match=f"{kind} qubit must be a non-negative int"):
+        Gate(kind, (qubit,))
+    with pytest.raises(ValueError, match="CNOT qubit"):
+        Gate("CNOT", (0, qubit))
+
+
+def test_gate_converts_numpy_integer_qubits():
+    gate = Gate("CNOT", (np.int64(0), np.uint8(2)))
+    assert gate == cnot(0, 2) and all(type(q) is int for q in gate.qubits)
+    assert run(Circuit(3, (Gate("X", (np.int32(0),)), gate))).amplitudes[0b101] == 1.0
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf, np.float32("nan")], ids=repr)
+def test_gate_and_rotation_refuse_a_non_finite_angle(angle):
+    for kind in ("Rx", "Ry", "Rz"):
+        with pytest.raises(ValueError, match=f"{kind} needs a finite angle"):
+            Gate(kind, (0,), angle)
+    with pytest.raises(ValueError, match="exp_pauli.* needs a finite angle"):
+        exp_pauli(angle, PauliString({0: "X", 1: "Y"}))
+
+
+def test_a_non_finite_slot_value_is_bound_unrefused():
+    # As in Program.run: it gives NaN amplitudes, which an optimizer reports.
+    bound = Circuit(1, (rx(0, Param(0)),), 1).bind_parameters([float("nan")])
+    assert np.isnan(run(bound).amplitudes).all()
+    # -NaN != NaN, so Rx(NaN) and Rx(-NaN) do not cancel; their inverse is refused.
+    pair = Circuit(1, (rx(0, Param(0)), rx(0, -Param(0))), 1).bind_parameters([float("nan")])
+    assert cancel_adjacent_inverses(pair).gates == pair.gates
+    with pytest.raises(ValueError, match="Rx needs a finite angle"):
+        pair.inverse()
 
 
 def test_dump_format():

@@ -316,30 +316,34 @@ def test_tomography_samples_a_state_within_the_norm_tolerance():
     assert evaluate_state(state, MIXED_OBSERVABLE, cfg) == expected
 
 
-def test_compiled_tomography_is_kept_per_width(rng):
+def test_compiled_tomography_is_kept_per_width(monkeypatch, rng):
+    # The exact path builds no sign rows; the first sampled call on a width
+    # builds them once, and neither another seed nor the exact path compiles
+    # that width again.
+    built = []
+    pauli_rows = simulator.pauli_rows
+    monkeypatch.setattr(
+        simulator, "pauli_rows", lambda strings, n: built.append(n) or pauli_rows(strings, n)
+    )
     obs = create_model("h2", {}).observable
     state = StateVector(4, random_state(4, rng))
-    evaluate_state(state, obs, EvaluatorConfig())
+    value = evaluate_state(state, obs, EvaluatorConfig())
     exact = obs._compiled
-    assert exact.groups[0][3] is None  # the exact path builds no x = 0 rows
-    assert "streams" not in type(exact)._fields  # and no form holds generator state
-    evaluate_state(state, obs, EvaluatorConfig())
-    assert obs._compiled is exact
+    assert evaluate_state(state, obs, EvaluatorConfig()) == value
+    assert obs._compiled is exact and built == []
     evaluate_state(state, obs, EvaluatorConfig(100, 3))
     memo = obs._compiled
-    # Sampling replaced the memo whole: the exact tables are shared, and the
-    # x = 0 group's sign rows are added.
-    assert memo is not exact and exact.groups[0][3] is None
-    assert memo.diagonal is exact.diagonal and memo.groups[1] is exact.groups[1]
-    assert memo.groups[0][3].dtype == np.int8 and memo.groups[0][3].shape[1] == 16
-    # Neither another seed nor the exact path compiles again on this width.
+    assert built == [4]
     for cfg in (EvaluatorConfig(100, 3), EvaluatorConfig(100, 4), EvaluatorConfig()):
-        evaluate_state(state, obs, cfg)
+        expected = _reference_tomography(state, obs, 100, cfg.seed) if cfg.shots else value
+        assert evaluate_state(state, obs, cfg) == expected
         assert obs._compiled is memo
-    evaluate_state(StateVector(5, random_state(5, rng)), obs, EvaluatorConfig(100, 4))
-    wide = obs._compiled
-    assert wide.num_qubits == 5 and wide.diagonal.shape == (32,) and wide.groups[0][3].shape[1] == 32
-    assert memo.num_qubits == 4 and memo.groups[0][3].shape[1] == 16
+    assert built == [4]
+    wide = StateVector(5, random_state(5, rng))
+    assert evaluate_state(wide, obs, EvaluatorConfig(100, 4)) == _reference_tomography(
+        wide, obs, 100, 4
+    )
+    assert built == [4, 5]
 
 
 def test_a_second_observable_reuses_the_generator_states_of_a_seed(monkeypatch, rng):

@@ -2,11 +2,14 @@
 dense matrix and the term-by-term kernel sum.
 
 ``compile_observable`` groups an operator's terms by x mask, once per
-register width: the x = 0 group and the constant fold into one diagonal D,
-and each X/Y group keeps its terms' int8 sign rows.  ``expectation`` and
-``apply_operator`` read D plus one gather per X/Y group; the oracles here
-apply every term on its own.
+register width, and folds each group, the x = 0 one with the constant, into
+one diagonal D_x.  ``expectation`` and ``apply_operator`` read D_0 plus one
+gather per X/Y group; the oracles here are the dense matrix and every term
+applied on its own.  ``parity_masses`` adds every measured term's int8 sign
+rows on its first call for a width.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +26,6 @@ from quasimo.simulator import (
     apply_operator,
     compile_observable,
     expectation,
-    pauli_rows,
     run,
 )
 from quasimo.workflow import get_workflow
@@ -76,10 +78,22 @@ def test_expectation_matches_the_dense_form_across_widths(data, n, seed):
     assert memos[0] is not memos[2] and memos[0].num_qubits == memos[2].num_qubits
     assert (repr(op), hash(op), op.terms()) == before
     assert op == unmeasured and unmeasured == op
-    for table in (op._compiled.diagonal, op._compiled.coeffs):
+    # Every table of the compiled form is shared by the threads that read op.
+    tables = list(_arrays(op._compiled))
+    assert tables
+    for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table[0] = 1.0
+            table[...] = 1.0
+
+
+def _arrays(value):
+    """Every numpy array reachable from a compiled form through its tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for part in value:
+            yield from _arrays(part)
 
 
 @st.composite
@@ -113,6 +127,37 @@ def test_expectation_and_h_psi_match_the_matrix(case, seed):
         assert value == pytest.approx(_dense(op, amps, n), rel=0, abs=1e-12)
 
 
+@st.composite
+def group_forms(draw):
+    """(n, operator) of one kind of compiled group: Z-only, pure-X (a scalar
+    D_x per group), X/Y with Z factors, complex non-Hermitian, a constant
+    alone, or the zero operator."""
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    kind = draw(st.sampled_from(["z", "x", "xyz", "complex", "constant", "zero"]))
+    values = st.complex_numbers(max_magnitude=2.0) if kind == "complex" else coefficients
+    if kind == "zero":
+        return n, PauliOperator.zero()
+    if kind == "constant":
+        return n, PauliOperator.identity(draw(values))
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        x = 0 if kind == "z" else draw(st.integers(1, full))
+        z = draw(st.integers(1 if kind == "z" else 0, full)) if kind != "x" else 0
+        terms[PauliString.from_masks(x, z)] = draw(values)
+    return n, PauliOperator(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_forms(), st.integers(0, 2**32 - 1))
+def test_h_psi_of_every_group_form_matches_the_matrix(case, seed):
+    n, op = case
+    amps = random_state(n, np.random.default_rng(seed))
+    out = apply_operator(amps, op, n)
+    assert out.shape == amps.shape
+    assert np.allclose(out, op.to_matrix(n) @ amps, rtol=0, atol=1e-12)
+
+
 def test_h_psi_of_a_non_hermitian_operator_keeps_every_imaginary_part(rng):
     # Complex coefficients on the diagonal and on an X/Y group.
     op = PauliOperator(
@@ -126,7 +171,8 @@ def test_h_psi_of_a_non_hermitian_operator_keeps_every_imaginary_part(rng):
     assert not op.is_hermitian
     amps = random_state(3, rng)
     assert np.allclose(apply_operator(amps, op, 3), op.to_matrix(3) @ amps, rtol=0, atol=1e-12)
-    assert op._compiled.diagonal.dtype == complex
+    # On |000> the diagonal's part of H psi is 0.5j + (1 - 2j) exactly.
+    assert apply_operator(StateVector(3).amplitudes, op, 3)[0] == 1 - 1.5j
 
 
 def _reference_diagonal(op, n):
@@ -151,60 +197,99 @@ def test_the_diagonal_equals_the_per_term_sum_exactly(n, data):
     terms = data.draw(st.dictionaries(z_masks, dyadic, max_size=12))
     op = PauliOperator((PauliString.from_masks(0, z), c) for z, c in terms.items())
     op = op + PauliOperator.from_string(PauliString.from_masks(1, 1))  # one X/Y group
-    compiled = compile_observable(op, n)
-    assert np.array_equal(compiled.diagonal, _reference_diagonal(op, n))
-    assert compiled.diagonal.dtype == float
+    # On the all-ones vector H psi is D_0 plus Y(0)'s -i * (-1)^(k & 1),
+    # which adds nothing to the real part.
+    out = apply_operator(np.ones(1 << n, dtype=complex), op, n)
+    assert np.array_equal(out.real, _reference_diagonal(op, n))
+    assert np.array_equal(out.imag, 2.0 * (np.arange(1 << n) & 1) - 1)
 
 
-def test_a_z_only_observable_compiles_to_its_diagonal_alone():
-    op = staggered_magnetization(16)
-    compiled = compile_observable(op, 16)
-    assert compiled.groups == ((0, 0, 16, None),)
-    assert compiled.diagonal.nbytes == 8 << 16
-    assert compile_observable(op, 16) is compiled
-    # Sampling first asks for the x = 0 sign rows and keeps D.
+@pytest.fixture
+def calls_to(monkeypatch):
+    """``calls_to(name)``: the list of argument tuples of every later call
+    to ``simulator.<name>``."""
+
+    def count(name):
+        calls = []
+        function = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name, lambda *args: calls.append(args) or function(*args))
+        return calls
+
+    return count
+
+
+def test_a_z_only_observable_compiles_to_its_diagonal_alone(calls_to, rng):
+    op = staggered_magnetization(16)  # weights +-1/16: every sum is exact
+    tracemalloc.start()
+    try:
+        compile_observable(op, 16)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # One real diagonal of 2^16 doubles and nothing else of that size.
+    assert 8 << 16 <= retained < 9 << 16
+    gathers, diagonals = calls_to("_pauli_product"), calls_to("_diagonal")
+    amps = random_state(16, rng)
+    expected = _reference_diagonal(op, 16) * amps
+    assert np.array_equal(apply_operator(amps, op, 16), expected)
+    # Sampling adds the sign rows and keeps D: the exact path compiles nothing again.
     simulator.parity_masses(StateVector(16).amplitudes, op, 16)
-    sampled = op._compiled
-    assert sampled.groups[0][3].shape == (16, 1 << 16) and sampled.diagonal is compiled.diagonal
+    assert np.array_equal(apply_operator(amps, op, 16), expected)
+    assert gathers == [] and diagonals == []
 
 
-def test_a_z_only_observable_compiles_without_sign_rows(monkeypatch):
-    calls = []
-    rows = simulator.pauli_rows
-    monkeypatch.setattr(simulator, "pauli_rows", lambda *args: calls.append(args) or rows(*args))
+def test_a_z_only_observable_compiles_without_sign_rows(calls_to, rng):
+    rows = calls_to("pauli_rows")
     op = staggered_magnetization(8) + 0.5  # dyadic coefficients: every sum is exact
-    compiled = compile_observable(op, 8)
-    assert calls == []
-    assert np.array_equal(compiled.diagonal, _reference_diagonal(op, 8))
-    assert compiled.gathers == (None,)
+    hamiltonian = create_model("heisenberg", {"num_spins": 8, "Jz": 0.25}).hamiltonian
+    amps = random_state(8, rng)
+    assert np.array_equal(apply_operator(amps, op, 8), _reference_diagonal(op, 8) * amps)
+    expectation(StateVector(8, amps), op)
+    # Nor does an operator with X/Y groups: only sampling reads sign rows.
+    expectation(StateVector(8, amps), hamiltonian)
+    apply_operator(amps, hamiltonian, 8)
+    assert rows == []
 
 
-def test_x_y_groups_share_one_sign_row_table(rng):
+def _p_even_reference(op, amps, n):
+    """(1 + <P>)/2 per measured term, in terms() order, from the dense matrix."""
+    return [
+        (1 + np.vdot(amps, PauliOperator.from_string(s).to_matrix(n) @ amps).real) / 2
+        for s, _ in op.terms()
+        if not s.is_identity
+    ]
+
+
+def test_x_y_groups_share_one_sign_row_table(calls_to, rng):
+    rows = calls_to("pauli_rows")
     hamiltonian = create_model("heisenberg", {"num_spins": 6, "Jz": 0.25}).hamiltonian
-    compiled = compile_observable(hamiltonian, 6)
-    # Each bond's XX and YY share its x mask; the ZZ terms are the diagonal.
-    bonds = [(3 << q, 2 * q, 2 * q + 2) for q in range(5)]
-    xy = [(x, start - 5, stop - 5) for x, start, stop, _ in compiled.groups[1:]]
-    assert compiled.groups[0][:3] == (0, 0, 5) and compiled.groups[0][3] is None
-    assert xy == [(x, a, b) for x, a, b in bonds]
-    strings = [s for s, _ in sorted(hamiltonian.terms(), key=lambda t: t[0].x) if s.x]
-    _, rows, _ = pauli_rows(strings, 6)
-    for x, start, stop, table in compiled.groups[1:]:
-        assert table.dtype == np.int8 and not table.flags.writeable
-        assert np.array_equal(table, rows[start - 5 : stop - 5])
+    amps = random_state(6, rng)
+    expectation(StateVector(6, amps), hamiltonian)
+    assert rows == []
+    # The first sampled pass builds every slot's rows in one call: the ZZ
+    # terms, then each bond's XX and YY, which share its x mask.
+    for _ in range(2):
+        masses = simulator.parity_masses(amps, hamiltonian, 6)
+        assert len(rows) == 1
+    strings, n = rows[0]
+    assert n == 6 and [s.x for s in strings] == [0] * 5 + [3 << q for q in range(5) for _ in "XY"]
+    assert [c for c, _ in masses] == [c.real for _, c in hamiltonian.terms()]
+    p_even = [p for _, p in masses]
+    assert np.allclose(p_even, _p_even_reference(hamiltonian, amps, 6), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 def test_groups_folded_a_slice_at_a_time_match_the_matrix(chunk, monkeypatch, rng):
-    # A group of t terms folds D_x max(1, chunk // t) amplitudes at a time.
+    # parity_masses takes a group's slots max(1, chunk >> n) at a time.
     monkeypatch.setattr(simulator, "CHUNK_AMPLITUDES", chunk)
     op = create_model("heisenberg", {"num_spins": 5, "Jz": 0.25, "h_ext": 0.3}).hamiltonian
-    op = op + 0.7 * PauliOperator.from_string(PauliString({0: "X", 1: "Y", 4: "Z"}))
+    op = op + 0.7 * PauliOperator.from_string(PauliString({0: "X", 1: "Y", 4: "Z"})) + 0.2
     amps = random_state(5, rng)
-    matrix = op.to_matrix(5)
-    assert np.allclose(apply_operator(amps, op, 5), matrix @ amps, rtol=0, atol=1e-12)
-    value = expectation(StateVector(5, amps), op)
-    assert value == pytest.approx(_dense(op, amps, 5), rel=0, abs=1e-12)
+    masses = simulator.parity_masses(amps, op, 5)
+    assert [c for c, _ in masses] == [c.real for _, c in op.terms()]
+    assert masses[[s for s, _ in op.terms()].index(PauliString())][1] is None
+    p_even = [p for _, p in masses if p is not None]
+    assert np.allclose(p_even, _p_even_reference(op, amps, 5), rtol=0, atol=1e-12)
 
 
 @pytest.fixture
