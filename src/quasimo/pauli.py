@@ -14,6 +14,7 @@ an independent check.
 
 import cmath
 import re
+from numbers import Integral
 
 import numpy as np
 
@@ -58,8 +59,9 @@ class PauliString:
     """An immutable product of single-qubit X/Y/Z factors.
 
     Internally a sorted tuple of (qubit, axis) pairs plus the ``x`` and
-    ``z`` bit masks; qubits not present carry the identity.  Hashable, so
-    usable as a dict key.
+    ``z`` bit masks; qubits not present carry the identity.  Qubits are
+    non-negative ints (numpy integers convert, bools raise a ValueError).
+    Hashable, so usable as a dict key.
     """
 
     __slots__ = ("_factors", "x", "z")
@@ -68,8 +70,10 @@ class PauliString:
         factors = tuple(sorted(axes.items() if isinstance(axes, dict) else axes))
         x = z = 0
         for qubit, axis in factors:
-            if not isinstance(qubit, int) or qubit < 0:
-                raise ValueError(f"qubit index must be a non-negative int, got {qubit!r}")
+            if type(qubit) is not int or qubit < 0:  # builders pass plain ints
+                if isinstance(qubit, bool) or not isinstance(qubit, Integral) or qubit < 0:
+                    raise ValueError(f"qubit index must be a non-negative int, got {qubit!r}")
+                return self.__init__([(int(q) if q is qubit else q, a) for q, a in factors])
             bits = _AXIS_BITS.get(axis)
             if bits is None:
                 raise ValueError(f"axis must be one of X, Y, Z, got {axis!r}")

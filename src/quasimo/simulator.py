@@ -17,7 +17,11 @@ controlled P acts only on the control = 1 half-slice and copies the rest.
 ``_pauli_plan`` prepares those view indices and the phase once per (string,
 n, control), and ``_pauli_product`` and ``_pauli_rotation`` run a plan.  A
 Program keeps its rotation steps' plans and a compiled observable its
-gathers'; every other call, a gate step's included, plans on the fly.
+gathers'; every other call, a gate step's included, plans on the fly.  On
+at most ``ROW_PLAN_QUBITS`` qubits a Program's rotation of a string with an
+X/Y factor is a row plan instead, (P psi)[k] = row[k] * psi[k ^ x]: fewer
+numpy calls, the same products.  Z-only strings stay strided: their +-1/+-i
+rows would add memory the benchmark's peak-RSS bound has no room for yet.
 Every gate runs through this kernel: X/Y/Z are strings, Rx/Ry/Rz rotations,
 S/Sdg the empty string with phase +-i controlled by their qubit, CNOT/CZ a
 controlled X/Z, and H one sum and one difference of its qubit's two
@@ -39,9 +43,10 @@ every block matrix by running the ops on the identity's columns
 (``_block_matrix``), so every op kind is defined once, in the kernel
 dispatch; runs equal up to their window's offset share one matrix.  An op
 on a Param slot is never fused: it is a PauliRotation step whose angle each
-run reads from its values.  Every other op stays a kernel step.  A Program
-plans its rotation steps once, when made, so a run only fills in angles;
-``run`` executes a circuit's ops unfused, through the same executor.
+run reads from its values.  Leading X gates stay gate steps, which a run from
+a basis state folds into its index.  Every other op stays a kernel step.  A
+Program plans its rotation steps once, when made, so a run only fills in
+angles; ``run`` executes a circuit's ops unfused, through the same executor.
 
 Compiled observables: ``compile_observable`` turns an operator, once per
 register width, into the one form that ``apply_operator`` and
@@ -57,6 +62,7 @@ unclamped, and their sum, 4 ||psi||^2, checks the state's norm for free.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import cos, sin
 from typing import NamedTuple
 
@@ -82,6 +88,11 @@ SHORT_ROWS = 3
 SAMPLE_NORM_TOL = 1e-8
 
 CHUNK_AMPLITUDES = 1 << 16  # parity_masses' temporaries, in amplitudes
+
+# Widest register whose X/Y rotation steps run as row plans.  A gather beat
+# the strided view on every string tried up to 12 qubits; X on the top qubit
+# took 20.8 -> 21.7 us at 13 and 135 -> 191 us at 16 (timeit minimum, 2 vCPUs).
+ROW_PLAN_QUBITS = 12
 
 _SQRT2_INV = 2**-0.5
 
@@ -203,17 +214,15 @@ def _pauli_plan(factors, n: int, control=None) -> tuple:
     )
 
 
-def _pauli_product(amps: np.ndarray, plan: tuple, scale: complex) -> np.ndarray:
-    """scale * P|psi> by P's ``plan``, as a new flat array; with a control,
-    the control = 0 half of the output is a copy."""
+def _pauli_product(amps: np.ndarray, plan: tuple, scale: complex, out=None) -> np.ndarray:
+    """scale * P|psi> by P's ``plan``, written to ``out`` (not ``amps``) or a
+    new flat array; with a control, the control = 0 half is a copy."""
     shape, phase, source, controlled, negated = plan
     scale *= phase
-    if controlled is None:
-        out = np.empty_like(amps)
-        tensor = target = out.reshape(shape)
-    else:
-        out = amps.copy()
-        tensor = out.reshape(shape)
+    out = np.empty_like(amps) if out is None else out
+    tensor = target = out.reshape(shape)
+    if controlled is not None:
+        np.copyto(out, amps)
         target = tensor[controlled]
     source = amps.reshape(shape)[source]
     if scale != 1:
@@ -239,10 +248,36 @@ def _hadamard(amps: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
+def _flip_index(n: int, x: int) -> np.ndarray:
+    """The read-only gather index k ^ x over n qubits' amplitudes."""
+    index = np.arange(1 << n) ^ x
+    index.flags.writeable = False
+    return index
+
+
+def _row_plan(string: PauliString, n: int) -> tuple:
+    """P's row plan on n qubits (P with an X/Y factor): the index k ^ x and, with
+    a Z/Y factor, the read-only row (-i)^#Y * (-1)^popcount(k & z)."""
+    row = None
+    if string.z:
+        phase = (-1j) ** (string.x & string.z).bit_count()
+        row = np.where(np.bitwise_count(_flip_index(n, 0) & string.z) & 1, -phase, phase)
+        row.flags.writeable = False
+    return _flip_index(n, string.x), row
+
+
 def _pauli_rotation(amps: np.ndarray, plan: tuple, theta: float, out=None) -> np.ndarray:
-    """exp(-i*theta*P)|psi> by P's ``plan``, written to ``out`` (which may be
-    ``amps``) or a new array."""
-    rotated = _pauli_product(amps, plan, -1j * sin(theta))
+    """exp(-i*theta*P)|psi> by P's strided or row ``plan`` (the same products),
+    written to ``out`` (which may be ``amps``) or a new array."""
+    if len(plan) == 2:
+        index, row = plan
+        rotated = amps[index]
+        if row is not None:
+            rotated *= row
+        rotated *= -1j * sin(theta)
+    else:
+        rotated = _pauli_product(amps, plan, -1j * sin(theta))
     out = np.multiply(amps, cos(theta), out=out)
     out += rotated
     return out
@@ -276,9 +311,7 @@ def pauli_rows(strings, n: int) -> tuple:
     x = np.array([s.x for s in strings], dtype=np.int64)
     z = np.array([s.z for s in strings], dtype=np.int64)
     phases = np.array([(-1j) ** (s.x & s.z).bit_count() for s in strings], dtype=complex)
-    signs = np.ones((len(strings), 1), dtype=np.int8)
-    for q in range(n):  # bit q of k doubles each row, negated where z has bit q
-        signs = np.hstack([signs, signs * (1 - 2 * (z[:, None] >> q & 1)).astype(np.int8)])
+    signs = 1 - 2 * (np.bitwise_count(np.arange(1 << n) & z[:, None]) & 1).astype(np.int8)
     return x, signs, phases
 
 
@@ -408,14 +441,16 @@ class Program:
     num_qubits: int
     steps: tuple  # circuit ops and FusedBlocks, in program order
     num_params: int = 0  # Param slots, filled from each run's values
-    # Per step, a PauliRotation's kernel plan, built once here; None otherwise.
+    # Per step, a PauliRotation's row or strided plan, built once; else None.
     plans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         plans = tuple(
-            _pauli_plan(step.string.factors, self.num_qubits)
-            if isinstance(step, PauliRotation)
-            else None
+            None
+            if not isinstance(step, PauliRotation)
+            else _row_plan(step.string, self.num_qubits)
+            if step.string.x and self.num_qubits <= ROW_PLAN_QUBITS
+            else _pauli_plan(step.string.factors, self.num_qubits)
             for step in self.steps
         )
         object.__setattr__(self, "plans", plans)
@@ -446,10 +481,13 @@ def compile_circuit(circuit: Circuit) -> Program:
     ``SHORT_ROWS``.  An op on a Param slot ends the run and is a
     PauliRotation step (Rx/Ry/Rz at half the slot's scale).  Nothing is
     reordered, so the program is the circuit's unitary up to rounding; every
-    other op stays a kernel step, among them every op whose own window is
-    wider than ``WINDOW``.
+    other op stays a kernel step, among them the circuit's leading X gates
+    (which a run from a basis state folds into its index) and every op whose
+    own window is wider than ``WINDOW``.
     """
-    steps = []
+    ops = circuit.ops
+    lead = next((i for i, op in enumerate(ops) if getattr(op, "kind", "") != "X"), len(ops))
+    steps = list(ops[:lead])
     group, lo, hi = [], 0, 0
     built = {}
 
@@ -459,7 +497,7 @@ def compile_circuit(circuit: Circuit) -> Program:
         elif group:
             steps.append(FusedBlock(group, tuple(range(lo, hi + 1)), built))
 
-    for op in circuit.ops:
+    for op in ops[lead:]:
         if isinstance(op.angle, Param):
             close()
             group = []
@@ -542,8 +580,9 @@ def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
     D_x psi[k ^ x] per X/Y group of its compiled form, one gather each."""
     (_, diagonal, *_), *groups = compile_observable(op, n).groups
     out = diagonal * amps
+    flipped = np.empty_like(amps) if groups else None
     for _, diagonal, gather, *_ in groups:
-        flipped = _pauli_product(amps, gather, 1.0)
+        _pauli_product(amps, gather, 1.0, flipped)
         flipped *= diagonal
         out += flipped
     return out

@@ -1,7 +1,8 @@
 """The compiled program against the op-by-op ``run`` and a dense oracle.
 
-``compile_circuit`` folds each maximal run of adjacent ops whose window spans
-at most ``WINDOW`` qubits into one FusedBlock, whose matrix the kernel builds
+``compile_circuit`` keeps a circuit's leading X gates as gate steps and
+folds each later maximal run of adjacent ops whose window spans at most
+``WINDOW`` qubits into one FusedBlock, whose matrix the kernel builds
 over every qubit of the window.  A run's window is min(S)..max(S) of its
 joint support S, or 0..max(S) when min(S) < ``SHORT_ROWS``; the block
 applies as one matrix product on the state's view with the window as its
@@ -41,6 +42,7 @@ from quasimo.circuit import (
 from quasimo.model import bits_prep, create_model
 from quasimo.pauli import PauliOperator, PauliString
 from quasimo.simulator import (
+    ROW_PLAN_QUBITS,
     SHORT_ROWS,
     WINDOW,
     FusedBlock,
@@ -106,6 +108,14 @@ def fusable(qubits):
     return len(window(qubits)) <= WINDOW
 
 
+def leading_xs(circuit):
+    """How many X gates the circuit starts with."""
+    lead = 0
+    while lead < len(circuit.ops) and getattr(circuit.ops[lead], "kind", None) == "X":
+        lead += 1
+    return lead
+
+
 def assert_block_structure(circuit, program):
     # An op whose own window spans more than WINDOW qubits is never fused:
     # it stays its own step.
@@ -118,8 +128,13 @@ def assert_block_structure(circuit, program):
             assert fusable(step.qubits)
             assert len(step.matrix) == 2 ** len(step.qubits)
             assert np.allclose(step.matrix.conj().T @ step.matrix, np.eye(len(step.matrix)))
-    # Runs are maximal: no two neighbouring steps fuse together.
-    for first, second in zip(program.steps, program.steps[1:]):
+    # The circuit's leading X gates stay gate steps, for a run from a basis
+    # state to fold into its index.
+    lead = leading_xs(circuit)
+    assert program.steps[:lead] == circuit.ops[:lead]
+    # After them, runs are maximal: no two neighbouring steps fuse together.
+    steps = program.steps[lead:]
+    for first, second in zip(steps, steps[1:]):
         assert not fusable(set(first.qubits) | set(second.qubits))
 
 
@@ -219,8 +234,10 @@ def test_low_blocks_match_the_dense_product_and_run(circuit, seed):
     got = program.run(initial).amplitudes
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
     assert np.allclose(got, run(circuit, initial).amplitudes, rtol=0, atol=1e-12)
-    # Every op lies below WINDOW, so the whole circuit folds into one step.
-    assert len(program.steps) <= 1
+    # Every op lies below WINDOW, so all but the leading X gates fold into
+    # one step.
+    lead = leading_xs(circuit)
+    assert len(program.steps) - lead <= 1
 
 
 @st.composite
@@ -366,6 +383,22 @@ def test_a_basis_state_prep_applies_no_gate(monkeypatch):
     # A later X gate, after another op, still runs through the kernel.
     run(Circuit(2, (Gate("X", (0,)), Gate("H", (1,)), Gate("X", (1,)))))
     assert [gate.kind for _, gate, _ in applied] == ["H", "X"]
+    # The compiled H2 ansatz keeps its Hartree-Fock X(0), X(2) as gate steps
+    # rather than fusing them, so every objective run folds them into the
+    # basis index; after them come rotation steps and fused blocks only.
+    ansatz = create_model("h2", {}).state_prep
+    program = compile_circuit(ansatz)
+    assert program.steps[:2] == (Gate("X", (0,)), Gate("X", (2,)))
+    assert not any(isinstance(step, Gate) for step in program.steps[2:])
+    values = np.linspace(-1.0, 1.0, ansatz.num_params)
+    applied.clear()  # compiling ran the fused blocks' ops through the kernel
+    state = program.run(None, values)
+    assert applied == []
+    bound = ansatz.bind_parameters(values)
+    assert np.array_equal(state.amplitudes, run(bound, StateVector.zero(4)).amplitudes)
+    assert np.allclose(
+        state.amplitudes, run(Circuit(4, bound.gates)).amplitudes, rtol=0, atol=1e-12
+    )
 
 
 def test_sixteen_spin_symmetric_xxz_step_compiles_to_9_fused_steps():
@@ -421,18 +454,19 @@ scales = st.one_of(
 
 
 @st.composite
-def slotted_circuits(draw):
-    """Random circuits on 1 to 8 qubits whose angles are floats or Param
-    slots (scaled or not) of one to four parameters, built in segments
-    inside pools of one to three qubits anywhere in the register, so bound
-    runs fuse at every window placement between slotted ops."""
-    n = draw(st.integers(1, 8))
-    num_params = draw(st.integers(1, 4))
+def slotted_circuits(draw, widths=st.integers(1, 8), params=st.integers(1, 4)):
+    """Random circuits on ``widths`` qubits (1 to 8) whose angles are floats
+    or Param slots (scaled or not) of ``params`` parameters (one to four; with
+    none, every angle is a float), built in segments inside pools of one to
+    three qubits anywhere in the register, so bound runs fuse at every
+    window placement between slotted ops."""
+    n = draw(widths)
+    num_params = draw(params)
     ops = []
     for _ in range(draw(st.integers(0, 5))):
         pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
         for op in pool_ops(draw, pool, draw(st.integers(1, 5))):
-            if op.angle is not None and draw(st.booleans()):
+            if num_params and op.angle is not None and draw(st.booleans()):
                 slot = Param(draw(st.integers(0, num_params - 1)), draw(scales))
                 if isinstance(op, PauliRotation):
                     op = PauliRotation(op.string, slot)
@@ -471,6 +505,32 @@ def test_a_slotted_program_run_with_values_equals_the_bound_circuit_run(circuit,
         assert step.qubits == op.qubits
         half = 0.5 if isinstance(op, Gate) else 1.0
         assert step.angle == Param(op.angle.index, op.angle.scale * half)
+
+
+ROW_PLAN_SIDES = [1, 2, 3, ROW_PLAN_QUBITS, ROW_PLAN_QUBITS + 1, ROW_PLAN_QUBITS + 2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    slotted_circuits(widths=st.sampled_from(ROW_PLAN_SIDES), params=st.integers(0, 3)),
+    st.sampled_from(["none", "index", "state"]),
+    st.data(),
+)
+def test_row_and_strided_planned_programs_equal_the_gate_level_run(circuit, start, data):
+    # Up to ROW_PLAN_QUBITS a rotation step whose string has an X or Y factor
+    # runs a row plan (an index and a row); every other rotation step, and
+    # every one on a wider register, the strided plan.  The oracle runs the
+    # bound circuit's gate-level expansion, gate by gate.
+    n, num_params = circuit.num_qubits, circuit.num_params
+    values = data.draw(st.lists(angles, min_size=num_params, max_size=num_params))
+    initial = draw_initial(start, n, data)
+    program = compile_circuit(circuit)
+    for step, plan in zip(program.steps, program.plans):
+        if isinstance(step, PauliRotation):
+            assert (len(plan) == 2) == (step.string.x != 0 and n <= ROW_PLAN_QUBITS)
+    gates = Circuit(n, circuit.bind_parameters(values).gates)
+    expected = run(gates, initial).amplitudes
+    assert np.allclose(program.run(initial, values).amplitudes, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -251,6 +251,21 @@ def test_a_z_only_observable_compiles_without_sign_rows(calls_to, rng):
     assert rows == []
 
 
+def test_h_psi_gathers_every_x_y_group_into_one_buffer(calls_to, rng):
+    hamiltonian = create_model("heisenberg", {"num_spins": 6, "Jz": 0.25}).hamiltonian
+    amps = random_state(6, rng)
+    expected = PauliOperator.to_matrix(hamiltonian, 6) @ amps
+    gathers = calls_to("_pauli_product")
+    got = apply_operator(amps, hamiltonian, 6)
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
+    # One gather per bond's x mask, each written to the same scratch array.
+    assert len(gathers) == 5 and all(len(args) == 4 for args in gathers)
+    scratch = gathers[0][3]
+    assert isinstance(scratch, np.ndarray) and scratch.shape == amps.shape
+    assert all(args[3] is scratch for args in gathers)
+    assert not np.shares_memory(scratch, amps) and not np.shares_memory(scratch, got)
+
+
 def _p_even_reference(op, amps, n):
     """(1 + <P>)/2 per measured term, in terms() order, from the dense matrix."""
     return [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,26 @@ def test_mask_encoding_matches_dense_oracle(a, b):
 def test_pauli_string_rejects_malformed_factors(axes):
     with pytest.raises(ValueError):
         PauliString(axes)
+
+
+@pytest.mark.parametrize("qubit", [True, False, np.True_, np.False_])
+def test_pauli_string_refuses_a_bool_qubit(qubit):
+    # A bool is an int to Python, so True would otherwise act on qubit 1.
+    for axes in ({qubit: "X"}, [(0, "Z"), (qubit, "X")]):
+        with pytest.raises(ValueError, match=re.escape(f"got {qubit!r}")):
+            PauliString(axes)
+
+
+def test_pauli_string_converts_numpy_integer_qubits():
+    string = PauliString({np.int64(1): "X", np.int32(3): "Z", 0: "Y"})
+    expected = PauliString({1: "X", 3: "Z", 0: "Y"})
+    assert string == expected and hash(string) == hash(expected)
+    assert (string.x, string.z) == (0b11, 0b1001)
+    assert [type(q) for q in string.support] == [int, int, int]
+    with pytest.raises(ValueError, match="non-negative int"):
+        PauliString({np.int64(-1): "X"})
+    with pytest.raises(ValueError, match=re.escape(f"got {np.True_!r}")):
+        PauliString([(np.int64(0), "X"), (np.True_, "Z")])  # checked after a conversion
 
 
 def test_from_masks_rejects_negative_masks():

@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from quasimo import simulator
 from quasimo.circuit import GATE_KINDS, Circuit, Gate, Param, PauliRotation, exp_pauli
 from quasimo.model import create_model
 from quasimo.pauli import PauliOperator, PauliString
 from quasimo.simulator import (
+    ROW_PLAN_QUBITS,
     StateVector,
     apply_gate,
     apply_operator,
@@ -301,3 +303,29 @@ def test_qite_cancel_inverses_circuit_stats_pinned():
         "S": 233,
         "total": 3358,
     }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_row_plan_rotates_bit_for_bit_like_the_strided_plan(data):
+    # A row's entries and the strided plan's phase and signs are all +-1 or
+    # +-i, so the two plans multiply the same reals and agree exactly.
+    n = data.draw(st.integers(1, ROW_PLAN_QUBITS))
+    x = data.draw(st.integers(1, 2**n - 1))  # an X or Y factor
+    string = PauliString.from_masks(x, data.draw(st.integers(0, 2**n - 1)))
+    theta = data.draw(angles)
+    amps = random_state(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    before = amps.copy()
+    strided = simulator._pauli_plan(string.factors, n)
+    row = simulator._row_plan(string, n)
+    expected = simulator._pauli_rotation(amps, strided, theta)
+    got = simulator._pauli_rotation(amps, row, theta)
+    assert np.array_equal(got, expected) and np.array_equal(amps, before)
+    assert simulator._pauli_rotation(amps, row, theta, out=amps) is amps
+    assert np.array_equal(amps, expected)
+    # A row is built only for a string with a Z or Y factor, and both its
+    # parts are read-only, the index shared per (width, x mask).
+    index, signs = row
+    assert (signs is None) == (string.z == 0) and not index.flags.writeable
+    assert signs is None or not signs.flags.writeable
+    assert index is simulator._row_plan(PauliString.from_masks(x, 0), n)[0]

@@ -535,12 +535,12 @@ def test_objective_calls_after_the_first_construct_no_circuit_or_op(case, monkey
 
 @pytest.mark.parametrize("case", ["qaoa", "vqe-sampled"])
 def test_objective_calls_after_the_first_build_no_kernel_plan_or_tensor_index(case, monkeypatch):
-    # The compiled ansatz holds every rotation step's plan, and the
-    # observable's compiled form (built by the first call) its gathers'.  A
-    # gate left unfused, such as the fifth H of a 5-node QAOA, still plans
-    # per call; on 8 nodes every H is in a fused block.
+    # The compiled ansatz holds every rotation step's plan, strided or row,
+    # and the observable's compiled form (built by the first call) its
+    # gathers'.  A gate left unfused, such as the fifth H of a 5-node QAOA,
+    # still plans per call; on 8 nodes every H is in a fused block.
     built = []
-    for name in ("_pauli_plan", "_tensor_index"):
+    for name in ("_pauli_plan", "_row_plan", "_tensor_index"):
         function = getattr(simulator, name)
 
         def counted(*args, function=function, name=name, **kwargs):
@@ -557,7 +557,7 @@ def test_objective_calls_after_the_first_build_no_kernel_plan_or_tensor_index(ca
         optimizer = ConstructionCountingOptimizer("spsa", {"budget": 100}, built)
         config = {"optimizer": optimizer, "shots": 100}
     result = get_workflow(case.split("-")[0], config).execute(model)
-    assert built  # compiling the ansatz built its plans
+    assert "_row_plan" in built  # compiling the ansatz built its plans
     assert len(optimizer.per_call) == result["evaluations"] > 1
     assert optimizer.per_call[1:] == [0] * (len(optimizer.per_call) - 1)
 
