@@ -19,6 +19,8 @@ from functools import cache
 from math import isfinite
 from numbers import Integral, Real
 
+import numpy as np
+
 from .pauli import PauliString
 
 # kind -> (arity, takes_angle)
@@ -93,9 +95,24 @@ class Param:
         return f"{self.scale!r}*p{self.index}"
 
 
+def slot_values(values) -> list:
+    """``values``, one per Param slot, as floats (``Circuit.bind_parameters``
+    and ``Program.run`` share it); a bool or a value that is not a finite
+    number raises a ValueError naming its slot."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        values = values.tolist()  # an optimizer's point: no bool in it
+        if isfinite(sum(values)):  # else a NaN, an infinity or an overflowed sum
+            return values
+    values = list(values)
+    for slot, value in enumerate(values):
+        if isinstance(value, (bool, np.bool_)) or not isfinite(float(value)):
+            raise ValueError(f"parameter slot {slot} needs a finite number, got {value!r}")
+    return [float(value) for value in values]
+
+
 def _bound(op, values):
-    """``op`` with its slot's value from ``values`` as its angle, unchecked, as
-    ``Program.run`` reads it; optimizers report a non-finite result."""
+    """``op`` with its slot's scaled value from ``values`` (``slot_values``
+    checked them) as its angle, as ``Program.run`` reads it."""
     if not isinstance(op.angle, Param):
         return op
     copy = object.__new__(type(op))
@@ -286,8 +303,9 @@ class Circuit:
         return counts
 
     def bind_parameters(self, values) -> "Circuit":
-        """Replace every symbolic angle; ``values`` must have one entry per slot."""
-        values = [float(v) for v in values]
+        """Replace every symbolic angle; ``values`` must have one finite
+        number per slot (see ``slot_values``)."""
+        values = slot_values(values)
         if len(values) != self.num_params:
             raise ArityMismatchError(
                 f"circuit has {self.num_params} parameter(s), got {len(values)} value(s)"

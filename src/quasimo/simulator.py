@@ -42,10 +42,14 @@ product on that view, reading and writing the state once.  The kernel builds
 every block matrix by running the ops on the identity's columns
 (``_block_matrix``), so every op kind is defined once, in the kernel
 dispatch; runs equal up to their window's offset share one matrix.  An op
-on a Param slot is never fused: it is a PauliRotation step whose angle each
-run reads from its values.  Leading X gates stay gate steps, which a run from
-a basis state folds into its index.  Every other op stays a kernel step.  A
-Program plans its rotation steps once, when made, so a run only fills in
+on a Param slot is never fused into a block.  A maximal run of two or more
+adjacent slotted Rx/Ry/Rz is a RotationLayer: each run multiplies each
+qubit's 2x2s cos(a) I - i sin(a) P in program order, then applies their
+Kronecker product per ``WINDOW``-aligned window, gathered through a table
+built at compile time.  Any other slotted op is a PauliRotation step whose
+angle each run reads from its values.  Leading X gates stay gate steps, which
+a run from a basis state folds into its index.  Every other op stays a kernel
+step.  A Program plans its steps once, when made, so a run only fills in
 angles; ``run`` executes a circuit's ops unfused, through the same executor.
 
 Compiled observables: ``compile_observable`` turns an operator, once per
@@ -62,15 +66,16 @@ unclamped, and their sum, 4 ||psi||^2, checks the state's norm for free.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import groupby
 from math import cos, sin
 from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import ArityMismatchError, Circuit, Gate, Param, PauliRotation
-from .circuit import UnboundParametersError, WidthMismatchError
-from .pauli import PauliOperator, PauliString, TooManyQubitsError
+from .circuit import UnboundParametersError, WidthMismatchError, slot_values
+from .pauli import _AXIS_MATRIX, PauliOperator, PauliString, TooManyQubitsError
 
 # Dense amplitudes: 2^24 complex values is ~0.25 GB, a sane desk-scale cap.
 MAX_QUBITS = 24
@@ -327,8 +332,8 @@ def _execute(program: "Program", initial, values=()) -> StateVector:
     from ``values``) in order on the initial state; returns a new state and
     never writes to ``initial``.
 
-    A caller's StateVector is not copied up front: FusedBlocks and gates
-    read their input and return a new array, and a PauliRotation, which
+    A caller's StateVector is not copied up front: FusedBlocks, layers and
+    gates read their input and return a new array, and a PauliRotation, which
     rotates the run's own array in place, writes to a new array while
     ``amps`` is still the caller's.  Only when no step runs is the caller's
     array copied, once, at the end.
@@ -363,6 +368,8 @@ def _execute(program: "Program", initial, values=()) -> StateVector:
                 angle = angle.scale * values[angle.index]
             out = amps if owned else None
             amps = _pauli_rotation(amps, plan, angle, out=out)
+        elif isinstance(op, RotationLayer):
+            amps = op.apply(amps, values)
         else:
             amps = apply_gate(amps, op, n)
         owned = True
@@ -428,10 +435,71 @@ class FusedBlock:
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """The block applied to a flat n-qubit amplitude array, as a new array."""
-        m = len(self.matrix)
-        if self.qubits[0] == 0:
-            return (amps.reshape(-1, m) @ self.matrix.T).ravel()
-        return np.matmul(self.matrix, amps.reshape(-1, m, 1 << self.qubits[0])).ravel()
+        return _apply_window(amps, self.matrix, self.qubits[0])
+
+
+def _apply_window(amps: np.ndarray, matrix: np.ndarray, lo: int) -> np.ndarray:
+    """``matrix`` on qubits lo.. of flat amplitudes, as FusedBlock applies it."""
+    m = len(matrix)
+    if lo == 0:
+        return (amps.reshape(-1, m) @ matrix.T).ravel()
+    return np.matmul(matrix, amps.reshape(-1, m, 1 << lo)).ravel()
+
+
+def _kron_table(firsts: list, m: int) -> np.ndarray:
+    """The read-only index table [i, w, r, c] -> entry (bit i of r, bit i of
+    c) of 2x2 number firsts[w] + i in a flat stack of them: the product over
+    axis 0 of the gathered stack is, per w, their Kronecker product, qubit i
+    as bit i."""
+    i, (r, c) = np.arange(m)[:, None, None, None], np.indices((1 << m, 1 << m))
+    table = 4 * (np.array(firsts)[:, None, None] + i) + 2 * (r >> i & 1) + (c >> i & 1)
+    table.flags.writeable = False
+    return table
+
+
+class RotationLayer:
+    """Adjacent slotted Rx/Ry/Rz (``rotations``, one-factor PauliRotations)
+    as one Kronecker product per ``WINDOW``-aligned window of their qubits.
+    ``slots``, ``scales`` and ``generators`` (-i P) hold them by depth and
+    column, padded with scale 0 (an exact I); the columns are each window's
+    qubits lo..hi (lo = 0 below ``SHORT_ROWS``).  ``windows`` holds, per
+    window width, the windows' lo's and one ``_kron_table`` for them all."""
+
+    __slots__ = ("rotations", "slots", "scales", "generators", "windows")
+
+    def __init__(self, rotations):
+        self.rotations = tuple(rotations)
+        on, windows, columns = {}, {}, []
+        for rotation in self.rotations:
+            ((qubit, axis),) = rotation.string.factors
+            on.setdefault(qubit, []).append((axis, rotation.angle))
+        for _, qubits in groupby(sorted(on), lambda qubit: qubit // WINDOW):
+            qubits = list(qubits)
+            lo, hi = qubits[0] if qubits[0] >= SHORT_ROWS else 0, qubits[-1]
+            windows.setdefault(hi - lo + 1, []).append((lo, len(columns)))
+            columns.extend(range(lo, hi + 1))
+        shape = (max(map(len, on.values())), len(columns))
+        self.slots, self.scales = np.zeros(shape, int), np.zeros(shape)
+        self.generators = np.zeros(shape + (2, 2), complex)
+        for column, qubit in enumerate(columns):
+            for depth, (axis, angle) in enumerate(on.get(qubit, ())):
+                self.slots[depth, column], self.scales[depth, column] = angle.index, angle.scale
+                self.generators[depth, column] = -1j * _AXIS_MATRIX[axis]
+        self.windows = tuple(  # windows of one width share a table
+            (tuple(lo for lo, _ in placed), _kron_table([first for _, first in placed], m))
+            for m, placed in windows.items()
+        )
+
+    def apply(self, amps: np.ndarray, values: list) -> np.ndarray:
+        """The layer at ``values`` on a flat amplitude array, as a new array."""
+        angles = self.scales * np.array(values)[self.slots]
+        rotations = np.cos(angles)[..., None, None] * _AXIS_MATRIX["I"]
+        rotations += np.sin(angles)[..., None, None] * self.generators
+        stack = reduce(lambda done, later: later @ done, rotations).ravel()
+        for los, table in self.windows:
+            for lo, matrix in zip(los, stack[table].prod(axis=0)):
+                amps = _apply_window(amps, matrix, lo)
+        return amps
 
 
 @dataclass(frozen=True)
@@ -439,7 +507,7 @@ class Program:
     """A circuit compiled for repeated runs (see ``compile_circuit``)."""
 
     num_qubits: int
-    steps: tuple  # circuit ops and FusedBlocks, in program order
+    steps: tuple  # circuit ops, FusedBlocks and RotationLayers, in program order
     num_params: int = 0  # Param slots, filled from each run's values
     # Per step, a PauliRotation's row or strided plan, built once; else None.
     plans: tuple = field(init=False, repr=False, compare=False)
@@ -459,11 +527,12 @@ class Program:
         """As ``run(circuit, initial)``, with one value per slot.
 
         Raises:
+            ValueError: a value is a bool or not finite (``slot_values``).
             UnboundParametersError: a slotted program got no values.
             ArityMismatchError: values has other than one entry per slot.
             WidthMismatchError: initial state width differs from the program.
         """
-        values = [float(v) for v in values]
+        values = slot_values(values)
         if len(values) != self.num_params:
             error = ArityMismatchError if values else UnboundParametersError
             raise error(f"circuit has {self.num_params} parameter(s), got {len(values)} value(s)")
@@ -478,9 +547,11 @@ def compile_circuit(circuit: Circuit) -> Program:
     FusedBlock, the product of the ops' matrices in program order; runs
     equal up to their window's offset share one matrix.  A run's window is
     min(S)..max(S) of its joint support S, or 0..max(S) when min(S) <
-    ``SHORT_ROWS``.  An op on a Param slot ends the run and is a
-    PauliRotation step (Rx/Ry/Rz at half the slot's scale).  Nothing is
-    reordered, so the program is the circuit's unitary up to rounding; every
+    ``SHORT_ROWS``.  An op on a Param slot ends the run; each maximal run of
+    two or more adjacent slotted Rx/Ry/Rz is one RotationLayer, and any other
+    slotted op a PauliRotation step (Rx/Ry/Rz at half the slot's scale).
+    Only a layer's commuting rotations on different qubits are reordered, so
+    the program is the circuit's unitary up to rounding; every
     other op stays a kernel step, among them the circuit's leading X gates
     (which a run from a basis state folds into its index) and every op whose
     own window is wider than ``WINDOW``.
@@ -488,22 +559,30 @@ def compile_circuit(circuit: Circuit) -> Program:
     ops = circuit.ops
     lead = next((i for i, op in enumerate(ops) if getattr(op, "kind", "") != "X"), len(ops))
     steps = list(ops[:lead])
-    group, lo, hi = [], 0, 0
+    group, lo, hi, layer = [], 0, 0, []
     built = {}
 
-    def close():
+    def close():  # flushes group or layer; at most one holds ops
+        nonlocal group, layer
         if len(group) == 1:
             steps.append(group[0])
         elif group:
             steps.append(FusedBlock(group, tuple(range(lo, hi + 1)), built))
+        if len(layer) == 1:
+            steps.append(layer[0])
+        elif layer:
+            steps.append(RotationLayer(layer))
+        group, layer = [], []
 
     for op in ops[lead:]:
+        if isinstance(op, Gate) and isinstance(op.angle, Param):
+            if group:
+                close()
+            axis = PauliString({op.qubits[0]: _ROTATION_AXIS[op.kind]})
+            layer.append(PauliRotation(axis, op.angle * 0.5))
+            continue
         if isinstance(op.angle, Param):
             close()
-            group = []
-            if isinstance(op, Gate):
-                axis = PauliString({op.qubits[0]: _ROTATION_AXIS[op.kind]})
-                op = PauliRotation(axis, op.angle * 0.5)
             steps.append(op)
             continue
         low = min(op.qubits) if min(op.qubits) >= SHORT_ROWS else 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -194,8 +196,8 @@ def test_cancel_rz_opposite_angles(pair, cancels):
 def _every_gate():
     """Every kind on both qubit orders; rotations at signed zero, +-0.4, +-pi
     and at Param slots with scales +-1, +-2 and +-0.  A gate refuses a NaN
-    angle; a NaN bound from a slot is checked in
-    ``test_a_non_finite_slot_value_is_bound_unrefused``."""
+    angle, and ``bind_parameters`` a NaN slot value (see
+    ``test_a_non_finite_slot_value_is_refused_naming_its_slot``)."""
     floats = [0.0, -0.0, 0.4, -0.4, np.pi, -np.pi]
     params = [Param(0, scale) for scale in (1.0, -1.0, 2.0, -2.0, 0.0, -0.0)] + [Param(1)]
     for kind, (arity, takes_angle) in GATE_KINDS.items():
@@ -270,15 +272,13 @@ def test_gate_and_rotation_refuse_a_non_finite_angle(angle):
         exp_pauli(angle, PauliString({0: "X", 1: "Y"}))
 
 
-def test_a_non_finite_slot_value_is_bound_unrefused():
-    # As in Program.run: it gives NaN amplitudes, which an optimizer reports.
-    bound = Circuit(1, (rx(0, Param(0)),), 1).bind_parameters([float("nan")])
-    assert np.isnan(run(bound).amplitudes).all()
-    # -NaN != NaN, so Rx(NaN) and Rx(-NaN) do not cancel; their inverse is refused.
-    pair = Circuit(1, (rx(0, Param(0)), rx(0, -Param(0))), 1).bind_parameters([float("nan")])
-    assert cancel_adjacent_inverses(pair).gates == pair.gates
-    with pytest.raises(ValueError, match="Rx needs a finite angle"):
-        pair.inverse()
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf, np.float32("nan")], ids=repr)
+def test_a_non_finite_slot_value_is_refused_naming_its_slot(bad):
+    # As in Program.run, which shares the check (see test_compile.py).
+    circuit = Circuit(1, (rx(0, Param(0)), rx(0, -Param(1))), 2)
+    message = f"parameter slot 1 needs a finite number, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        circuit.bind_parameters([0.5, bad])
 
 
 def test_dump_format():

@@ -10,15 +10,17 @@ middle axis.  One oracle is ``run``, which applies every op through the same
 kernel; the independent one is the product of dense references: each gate's
 ``gate_matrix`` embedded with ``np.kron`` and scipy's ``expm`` (or the closed
 form cos I - i sin P) of each rotation's string.  A circuit with Param slots
-compiles too, each slotted op a rotation step of its own, and a run with
-values is checked against ``run`` of the circuit bound to them.  The low-block and window
-strategies draw supports that skip qubits inside the window (such as
-{1, 3}), and place the window at qubit 0, at the top of the register and in
-between, so a matrix built over the support alone, a transposed matrix or a
-view with its axes swapped fails them.
+compiles too: each run of two or more adjacent slotted Rx/Ry/Rz is one
+RotationLayer, every other slotted op a rotation step of its own, and a run
+with values is checked against ``run`` of the circuit bound to them.  The
+low-block and window strategies draw supports that skip qubits inside the
+window (such as {1, 3}), and place the window at qubit 0, at the top of the
+register and in between, so a matrix built over the support alone, a
+transposed matrix or a view with its axes swapped fails them.
 """
 
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from quasimo import simulator
-from quasimo.ansatz import symmetric_trotter_step, trotter_step
+from quasimo.ansatz import qaoa_ansatz, rx_ry, symmetric_trotter_step, trotter_step
 from quasimo.circuit import (
     GATE_KINDS,
     ArityMismatchError,
@@ -39,13 +41,14 @@ from quasimo.circuit import (
     rx,
     rz,
 )
-from quasimo.model import bits_prep, create_model
+from quasimo.model import bits_prep, create_model, create_star_maxcut
 from quasimo.pauli import PauliOperator, PauliString
 from quasimo.simulator import (
     ROW_PLAN_QUBITS,
     SHORT_ROWS,
     WINDOW,
     FusedBlock,
+    RotationLayer,
     StateVector,
     compile_circuit,
     expectation,
@@ -385,7 +388,7 @@ def test_a_basis_state_prep_applies_no_gate(monkeypatch):
     assert [gate.kind for _, gate, _ in applied] == ["H", "X"]
     # The compiled H2 ansatz keeps its Hartree-Fock X(0), X(2) as gate steps
     # rather than fusing them, so every objective run folds them into the
-    # basis index; after them come rotation steps and fused blocks only.
+    # basis index; after them come a rotation layer and a fused block only.
     ansatz = create_model("h2", {}).state_prep
     program = compile_circuit(ansatz)
     assert program.steps[:2] == (Gate("X", (0,)), Gate("X", (2,)))
@@ -394,8 +397,12 @@ def test_a_basis_state_prep_applies_no_gate(monkeypatch):
     applied.clear()  # compiling ran the fused blocks' ops through the kernel
     state = program.run(None, values)
     assert applied == []
+    # The layer's Kronecker product rounds differently from the rotations
+    # one by one.
     bound = ansatz.bind_parameters(values)
-    assert np.array_equal(state.amplitudes, run(bound, StateVector.zero(4)).amplitudes)
+    assert np.allclose(
+        state.amplitudes, run(bound, StateVector.zero(4)).amplitudes, rtol=0, atol=1e-12
+    )
     assert np.allclose(
         state.amplitudes, run(Circuit(4, bound.gates)).amplitudes, rtol=0, atol=1e-12
     )
@@ -495,16 +502,34 @@ def test_a_slotted_program_run_with_values_equals_the_bound_circuit_run(circuit,
     assert program.num_params == num_params
     expected = run(circuit.bind_parameters(values), initial).amplitudes
     assert np.allclose(program.run(initial, values).amplitudes, expected, rtol=0, atol=1e-12)
-    # Each slotted op is a step of its own, a rotation on the same slot, in
-    # order; a slotted Rx/Ry/Rz becomes its one-axis rotation at half scale.
+    assert_slotted_structure(circuit, program)
+
+
+def slotted_gate(op):
+    return isinstance(op, Gate) and isinstance(op.angle, Param)
+
+
+def assert_slotted_structure(circuit, program):
+    # Each slotted op becomes a rotation on the same slot, in order; a
+    # slotted Rx/Ry/Rz becomes its one-axis rotation at half scale.  Each
+    # maximal run of two or more adjacent slotted gates is one
+    # RotationLayer, and every other slotted op is a step of its own.
     slotted = [op for op in circuit.ops if isinstance(op.angle, Param)]
-    steps = [s for s in program.steps if isinstance(getattr(s, "angle", None), Param)]
-    assert all(isinstance(step, PauliRotation) for step in steps)
-    assert len(steps) == len(slotted)
-    for op, step in zip(slotted, steps):
-        assert step.qubits == op.qubits
+    rotations, layers = [], []
+    for step in program.steps:
+        if isinstance(step, RotationLayer):
+            layers.append(len(step.rotations))
+            rotations.extend(step.rotations)
+        elif isinstance(getattr(step, "angle", None), Param):
+            assert isinstance(step, PauliRotation)
+            rotations.append(step)
+    assert len(rotations) == len(slotted)
+    for op, rotation in zip(slotted, rotations):
+        assert rotation.qubits == op.qubits
         half = 0.5 if isinstance(op, Gate) else 1.0
-        assert step.angle == Param(op.angle.index, op.angle.scale * half)
+        assert rotation.angle == Param(op.angle.index, op.angle.scale * half)
+    runs = [len(list(group)) for layered, group in groupby(circuit.ops, slotted_gate) if layered]
+    assert layers == [length for length in runs if length >= 2]
 
 
 ROW_PLAN_SIDES = [1, 2, 3, ROW_PLAN_QUBITS, ROW_PLAN_QUBITS + 1, ROW_PLAN_QUBITS + 2]
@@ -580,3 +605,99 @@ def test_planned_rotations_equal_the_bound_circuit_run_bit_for_bit(circuit, star
     assert program.steps == circuit.ops and len(program.plans) == len(program.steps)
     expected = run(circuit.bind_parameters(values), initial).amplitudes
     assert np.array_equal(program.run(initial, values).amplitudes, expected)
+
+
+LAYER_WIDTHS = [1, 2, 3, 4, 5, 8, 12, 13]
+
+
+@st.composite
+def layered_circuits(draw):
+    """Circuits on LAYER_WIDTHS qubits whose runs of slotted Rx/Ry/Rz become
+    RotationLayers: each run rotates a random list of qubits (repeats put
+    several ops on one qubit, gaps leave qubits out, and a run may span
+    several WINDOW-aligned windows) about random axes, on shared slots with
+    negated and scaled slots among them; a bound H or CNOT, a slotted ZZ
+    rotation or nothing separates runs."""
+    n = draw(st.sampled_from(LAYER_WIDTHS))
+    num_params = draw(st.integers(1, 3))
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        for q in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)):
+            slot = Param(draw(st.integers(0, num_params - 1)), draw(scales))
+            ops.append(Gate(draw(st.sampled_from(["Rx", "Ry", "Rz"])), (q,), slot))
+        separator = draw(st.sampled_from(["none", "H", "CNOT", "ZZ"]))
+        if separator == "H" or (separator == "CNOT" and n == 1):
+            ops.append(Gate("H", (draw(st.integers(0, n - 1)),)))
+        elif separator == "CNOT":
+            ops.append(Gate("CNOT", tuple(draw(st.permutations(range(n)))[:2])))
+        elif separator == "ZZ":
+            ends = draw(st.permutations(range(n)))[:2]
+            ops.append(PauliRotation(PauliString({q: "Z" for q in ends}), Param(0, 0.5)))
+    return Circuit(n, tuple(ops), num_params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layered_circuits(), st.sampled_from(["none", "index", "state"]), st.data())
+def test_rotation_layers_equal_the_unfused_bound_run(circuit, start, data):
+    n, num_params = circuit.num_qubits, circuit.num_params
+    values = data.draw(st.lists(angles, min_size=num_params, max_size=num_params))
+    initial = draw_initial(start, n, data)
+    if isinstance(initial, StateVector):
+        before = initial.amplitudes.copy()
+        initial.amplitudes.flags.writeable = False
+    program = compile_circuit(circuit)
+    assert_slotted_structure(circuit, program)
+    expected = run(circuit.bind_parameters(values), initial).amplitudes
+    got = program.run(initial, values).amplitudes
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
+    if isinstance(initial, StateVector):
+        assert np.array_equal(initial.amplitudes, before)
+        assert not np.shares_memory(got, initial.amplitudes)
+
+
+def step_kinds(program):
+    return [type(step).__name__ for step in program.steps]
+
+
+def test_variational_ansaetze_compile_their_rotation_runs_to_layers():
+    # QAOA on the 8-node star: the H layer is two fused blocks, then per
+    # repetition the 7 ZZ cost rotations stay steps and the Rx mixer is one
+    # layer over two windows.
+    star = create_star_maxcut(8)
+    program = compile_circuit(qaoa_ansatz(star.hamiltonian, 3, 8))
+    repetition = ["PauliRotation"] * 7 + ["RotationLayer"]
+    assert step_kinds(program) == ["FusedBlock"] * 2 + repetition * 3
+    ((los, table),) = program.steps[-1].windows
+    assert los == (0, 4) and table.shape == (4, 2, 16, 16)
+    # H2: the Hartree-Fock X gates, the Ry+Rz layer and the CNOT chain.
+    program = compile_circuit(create_model("h2", {}).state_prep)
+    assert step_kinds(program) == ["Gate", "Gate", "RotationLayer", "FusedBlock"]
+    (layer,) = program.steps[2:3]
+    ((los, table),) = layer.windows
+    assert layer.slots.shape == (2, 4) and los == (0,) and not table.flags.writeable
+    # Tapered H2: Rx then Ry on its one qubit.
+    program = compile_circuit(rx_ry())
+    assert step_kinds(program) == ["RotationLayer"]
+    assert program.steps[0].slots.tolist() == [[0], [1]]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([True, 0.0], "slot 0 needs a finite number, got True"),
+        ([0.0, np.True_], "slot 1 needs a finite number, got np.True_"),
+        ([float("nan"), 0.0], "slot 0 needs a finite number, got nan"),
+        ([0.5, float("inf")], "slot 1 needs a finite number, got inf"),
+        (np.array([0.5, -np.inf]), "slot 1 needs a finite number, got -inf"),
+    ],
+    ids=["bool", "numpy-bool", "nan", "inf", "array-inf"],
+)
+def test_a_bool_or_non_finite_slot_value_is_refused_naming_its_slot(values, message):
+    circuit = Circuit(1, (rx(0, Param(0)), rz(0, Param(1))), 2)
+    program = compile_circuit(circuit)
+    for refuse in (lambda: program.run(None, values), lambda: circuit.bind_parameters(values)):
+        with pytest.raises(ValueError, match=f"parameter {message}$"):
+            refuse()
+    # Finite values whose sum overflows are each finite: accepted.
+    huge = [1e308, 1e308]
+    assert circuit.bind_parameters(huge).ops[0].angle == 1e308

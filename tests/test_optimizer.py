@@ -153,10 +153,16 @@ def test_non_finite_objective_raises_naming_the_evaluation(name, bad):
 
 @pytest.mark.parametrize("name", ["spsa", "nelder-mead"])
 def test_nan_start_raises_at_the_first_evaluation(name):
+    # Binding the start's angles refuses the NaN, naming its slot; on an
+    # objective that returns the NaN, the optimizer names the evaluation.
     objective, _ = reduced_h2_objective()
+    calls = []
     opt = create_optimizer(name, {"budget": 200, "seed": 1})
+    with pytest.raises(ValueError, match="parameter slot 0 needs a finite number, got nan"):
+        opt.minimize(lambda x: calls.append(x) or objective(x), np.array([np.nan, 0.0]))
+    assert len(calls) == 1
     with pytest.raises(NonFiniteObjectiveError, match="evaluation 0 returned nan"):
-        opt.minimize(objective, np.array([np.nan, 0.0]))
+        opt.minimize(lambda x: float(np.sum(x)), np.array([np.nan, 0.0]))
 
 
 def test_trace_reads_as_index_value_pairs():
