@@ -111,14 +111,17 @@ def slot_values(values) -> list:
 
 
 def _bound(op, values):
-    """``op`` with its slot's scaled value from ``values`` (``slot_values``
-    checked them) as its angle, as ``Program.run`` reads it."""
+    """``op`` with its slot's scaled value from ``values`` as its angle, as
+    ``Program.run`` reads it; a product that is not finite fails as in ``slot_values``."""
     if not isinstance(op.angle, Param):
         return op
+    angle = float(op.angle.scale * values[op.angle.index])
+    if not isfinite(angle):
+        raise ValueError(f"parameter slot {op.angle.index} needs a finite number, got {angle!r}")
     copy = object.__new__(type(op))
     for name in type(op).__slots__:
         object.__setattr__(copy, name, getattr(op, name))
-    object.__setattr__(copy, "angle", float(op.angle.scale * values[op.angle.index]))
+    object.__setattr__(copy, "angle", angle)
     return copy
 
 

@@ -17,18 +17,14 @@ controlled P acts only on the control = 1 half-slice and copies the rest.
 ``_pauli_plan`` prepares those view indices and the phase once per (string,
 n, control), and ``_pauli_product`` and ``_pauli_rotation`` run a plan.  A
 Program keeps its rotation steps' plans and a compiled observable its
-gathers'; every other call, a gate step's included, plans on the fly.  On
-at most ``ROW_PLAN_QUBITS`` qubits a Program's rotation of a string with an
-X/Y factor is a row plan instead, (P psi)[k] = row[k] * psi[k ^ x]: fewer
-numpy calls, the same products.  Z-only strings stay strided: their +-1/+-i
-rows would add memory the benchmark's peak-RSS bound has no room for yet.
+gathers'; every other call, a gate step's included, plans on the fly.
 Every gate runs through this kernel: X/Y/Z are strings, Rx/Ry/Rz rotations,
 S/Sdg the empty string with phase +-i controlled by their qubit, CNOT/CZ a
 controlled X/Z, and H one sum and one difference of its qubit's two
 half-slices.  Pauli strings, Pauli-sum operators, expectation values and
 exp(-i*theta*P) blocks run through it too.  ``pauli_rows`` writes the same
 action for a batch of strings as one table (x masks, int8 sign rows, phases),
-which sampled tomography and the QITE step share.
+which sampled tomography and a QITE step's overlaps and rotations share.
 
 Compiled programs: ``compile_circuit`` turns a circuit that runs many times
 (a Trotter step, a variational ansatz) into a Program.  A run of bound ops
@@ -66,7 +62,7 @@ unclamped, and their sum, 4 ||psi||^2, checks the state's norm for free.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import groupby
 from math import cos, sin
 from typing import NamedTuple
@@ -94,16 +90,24 @@ SAMPLE_NORM_TOL = 1e-8
 
 CHUNK_AMPLITUDES = 1 << 16  # parity_masses' temporaries, in amplitudes
 
-# Widest register whose X/Y rotation steps run as row plans.  A gather beat
-# the strided view on every string tried up to 12 qubits; X on the top qubit
-# took 20.8 -> 21.7 us at 13 and 135 -> 191 us at 16 (timeit minimum, 2 vCPUs).
-ROW_PLAN_QUBITS = 12
-
 _SQRT2_INV = 2**-0.5
 
 
 class NonHermitianError(ValueError):
     """Observable expectation values need a Hermitian operator."""
+
+
+def _basis_amplitudes(n: int, index) -> np.ndarray:
+    """Basis state ``index``'s amplitudes on n qubits, as ``StateVector.basis``."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"a basis index must be an int, got {index!r}")
+    if not 0 <= index < 2**n:
+        raise ValueError(f"basis index {index} out of range for {n} qubits")
+    if n > MAX_QUBITS:
+        raise TooManyQubitsError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
 @dataclass
@@ -119,9 +123,7 @@ class StateVector:
                 f"{self.num_qubits} qubits exceeds the {MAX_QUBITS}-qubit simulator cap"
             )
         if self.amplitudes is None:
-            amps = np.zeros(2**self.num_qubits, dtype=complex)
-            amps[0] = 1.0
-            self.amplitudes = amps
+            self.amplitudes = _basis_amplitudes(self.num_qubits, 0)
         else:
             self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
             if self.amplitudes.shape != (2**self.num_qubits,):
@@ -135,13 +137,7 @@ class StateVector:
 
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "StateVector":
-        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-            raise ValueError(f"a basis index must be an int, got {index!r}")
-        if not 0 <= index < 2**num_qubits:
-            raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(num_qubits, amps)
+        return cls(num_qubits, _basis_amplitudes(num_qubits, index))
 
     @classmethod
     def from_bits(cls, bits) -> "StateVector":
@@ -253,36 +249,10 @@ def _hadamard(amps: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=256)
-def _flip_index(n: int, x: int) -> np.ndarray:
-    """The read-only gather index k ^ x over n qubits' amplitudes."""
-    index = np.arange(1 << n) ^ x
-    index.flags.writeable = False
-    return index
-
-
-def _row_plan(string: PauliString, n: int) -> tuple:
-    """P's row plan on n qubits (P with an X/Y factor): the index k ^ x and, with
-    a Z/Y factor, the read-only row (-i)^#Y * (-1)^popcount(k & z)."""
-    row = None
-    if string.z:
-        phase = (-1j) ** (string.x & string.z).bit_count()
-        row = np.where(np.bitwise_count(_flip_index(n, 0) & string.z) & 1, -phase, phase)
-        row.flags.writeable = False
-    return _flip_index(n, string.x), row
-
-
 def _pauli_rotation(amps: np.ndarray, plan: tuple, theta: float, out=None) -> np.ndarray:
-    """exp(-i*theta*P)|psi> by P's strided or row ``plan`` (the same products),
-    written to ``out`` (which may be ``amps``) or a new array."""
-    if len(plan) == 2:
-        index, row = plan
-        rotated = amps[index]
-        if row is not None:
-            rotated *= row
-        rotated *= -1j * sin(theta)
-    else:
-        rotated = _pauli_product(amps, plan, -1j * sin(theta))
+    """exp(-i*theta*P)|psi> by P's ``plan``, written to ``out`` (which may be
+    ``amps``) or a new array."""
+    rotated = _pauli_product(amps, plan, -1j * sin(theta))
     out = np.multiply(amps, cos(theta), out=out)
     out += rotated
     return out
@@ -327,6 +297,23 @@ def pauli_overlaps(rows: tuple, amps: np.ndarray, other: np.ndarray) -> np.ndarr
     return rotated.conj() @ other
 
 
+def rotate_rows(rows: tuple, amps: np.ndarray, picks, thetas) -> np.ndarray:
+    """exp(-i*thetas[i]*P_i)|psi> for the rows i in ``picks`` (ints) of a
+    ``pauli_rows`` table, in order, as a new array; each is cos(theta) psi
+    - i sin(theta) phases[i] signs[i] psi[k ^ x[i]], its row built up front."""
+    x, signs, phases = rows
+    angles = thetas[picks].tolist()
+    scales = np.array([-1j * sin(theta) for theta in angles], complex) * phases[picks]
+    flips = np.arange(len(amps)) ^ x[picks, None]
+    out = amps.copy()
+    for flip, row, theta in zip(flips, scales[:, None] * signs[picks], angles):
+        rotated = out[flip]
+        rotated *= row
+        out *= cos(theta)
+        out += rotated
+    return out
+
+
 def _execute(program: "Program", initial, values=()) -> StateVector:
     """Run ``program``'s steps (circuit ops and FusedBlocks, Param angles read
     from ``values``) in order on the initial state; returns a new state and
@@ -349,7 +336,7 @@ def _execute(program: "Program", initial, values=()) -> StateVector:
     else:
         # A basis state: each leading X gate only moves its one amplitude.
         index = 0 if initial is None else initial
-        amps = StateVector.basis(n, index).amplitudes
+        amps = _basis_amplitudes(n, index)
         lead = 0
         for op in steps:
             if not (isinstance(op, Gate) and op.kind == "X"):
@@ -509,16 +496,14 @@ class Program:
     num_qubits: int
     steps: tuple  # circuit ops, FusedBlocks and RotationLayers, in program order
     num_params: int = 0  # Param slots, filled from each run's values
-    # Per step, a PauliRotation's row or strided plan, built once; else None.
+    # Per step, a PauliRotation's plan, built once; else None.
     plans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         plans = tuple(
-            None
-            if not isinstance(step, PauliRotation)
-            else _row_plan(step.string, self.num_qubits)
-            if step.string.x and self.num_qubits <= ROW_PLAN_QUBITS
-            else _pauli_plan(step.string.factors, self.num_qubits)
+            _pauli_plan(step.string.factors, self.num_qubits)
+            if isinstance(step, PauliRotation)
+            else None
             for step in self.steps
         )
         object.__setattr__(self, "plans", plans)

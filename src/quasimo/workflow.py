@@ -34,7 +34,8 @@ from .costfn import CostFunctionEvaluator, EvaluatorConfig
 from .model import QuantumSimulationModel
 from .optimizer import OPTION_KEYS, Optimizer, config_value, create_optimizer
 from .pauli import PauliString, TooManyQubitsError
-from .simulator import StateVector, apply_operator, compile_circuit, pauli_overlaps, pauli_rows, run
+from .simulator import StateVector, apply_operator, compile_circuit, pauli_overlaps, pauli_rows
+from .simulator import rotate_rows, run
 from .tapering import SingularSystemError
 from .validation import QuantumValidationModel
 
@@ -327,7 +328,8 @@ class QiteWorkflow(QuantumSimulationWorkflow):
     <P_I psi|P_J psi>, lambda = 1e-8, needs no solve: as the sum of P rho P
     over all 4^n Paulis is 2^n tr(rho) I, S + S^T is 2^n on the right-hand
     side's span, so a_I = 2*Im<P_I psi|H psi> / (sqrt(c) * (2^n + lambda)).
-    exp(-i*a_I*dbeta*P_I) is appended in canonical order.
+    exp(-i*a_I*dbeta*P_I) is appended in canonical order, and the state takes
+    it from the basis's ``pauli_rows`` table, as the overlaps do.
 
     Config: "steps" (required), "step-size" (dbeta > 0, required),
     "circuit-optimizer" (pass name or callable, optional).
@@ -376,14 +378,12 @@ class QiteWorkflow(QuantumSimulationWorkflow):
         values = [self.evaluator.evaluate_state(state, model.observable)]
         for _ in range(self.steps):
             thetas = self._solve_step(amps, model.hamiltonian, rows, self.dbeta, n) * self.dbeta
-            chunk = Circuit(
-                n,
-                tuple(PauliRotation(s, t) for s, t in zip(basis, thetas) if abs(t) >= 1e-12),
-            )
+            picks = np.flatnonzero(np.abs(thetas) >= 1e-12)
+            chunk = Circuit(n, tuple(PauliRotation(basis[i], thetas[i]) for i in picks))
             circuit = circuit.compose(chunk)
             if self.circuit_optimizer is not None:
                 circuit = self.circuit_optimizer(circuit)
-            amps = run(chunk, state).amplitudes
+            amps = rotate_rows(rows, amps, picks, thetas)
             amps = amps / np.linalg.norm(amps)
             state = StateVector(n, amps)
             values.append(self.evaluator.evaluate_state(state, model.observable))

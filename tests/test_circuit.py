@@ -18,6 +18,7 @@ from quasimo.circuit import (
     exp_pauli,
     h,
     rx,
+    ry,
     rz,
     s,
     sdg,
@@ -279,6 +280,12 @@ def test_a_non_finite_slot_value_is_refused_naming_its_slot(bad):
     message = f"parameter slot 1 needs a finite number, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=message):
         circuit.bind_parameters([0.5, bad])
+    # A finite value whose scaled angle overflows is refused the same way.
+    # (A compiled program halves the scale first and runs it to a finite state.)
+    circuit = Circuit(2, (rx(0, 2.0 * Param(0)), ry(1, Param(0))), 1)
+    message = "parameter slot 0 needs a finite number, got inf$"
+    with pytest.raises(ValueError, match=message):
+        circuit.bind_parameters([1e308])
 
 
 def test_dump_format():

@@ -44,7 +44,6 @@ from quasimo.circuit import (
 from quasimo.model import bits_prep, create_model, create_star_maxcut
 from quasimo.pauli import PauliOperator, PauliString
 from quasimo.simulator import (
-    ROW_PLAN_QUBITS,
     SHORT_ROWS,
     WINDOW,
     FusedBlock,
@@ -532,27 +531,25 @@ def assert_slotted_structure(circuit, program):
     assert layers == [length for length in runs if length >= 2]
 
 
-ROW_PLAN_SIDES = [1, 2, 3, ROW_PLAN_QUBITS, ROW_PLAN_QUBITS + 1, ROW_PLAN_QUBITS + 2]
+PLANNED_WIDTHS = [1, 2, 3, 12, 13, 14]
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    slotted_circuits(widths=st.sampled_from(ROW_PLAN_SIDES), params=st.integers(0, 3)),
+    slotted_circuits(widths=st.sampled_from(PLANNED_WIDTHS), params=st.integers(0, 3)),
     st.sampled_from(["none", "index", "state"]),
     st.data(),
 )
-def test_row_and_strided_planned_programs_equal_the_gate_level_run(circuit, start, data):
-    # Up to ROW_PLAN_QUBITS a rotation step whose string has an X or Y factor
-    # runs a row plan (an index and a row); every other rotation step, and
-    # every one on a wider register, the strided plan.  The oracle runs the
-    # bound circuit's gate-level expansion, gate by gate.
+def test_planned_programs_on_narrow_and_wide_registers_equal_the_gate_level_run(
+    circuit, start, data
+):
+    # Every rotation step runs its strided plan, on small registers and on
+    # wide ones alike.  The oracle runs the bound circuit's gate-level
+    # expansion, gate by gate.
     n, num_params = circuit.num_qubits, circuit.num_params
     values = data.draw(st.lists(angles, min_size=num_params, max_size=num_params))
     initial = draw_initial(start, n, data)
     program = compile_circuit(circuit)
-    for step, plan in zip(program.steps, program.plans):
-        if isinstance(step, PauliRotation):
-            assert (len(plan) == 2) == (step.string.x != 0 and n <= ROW_PLAN_QUBITS)
     gates = Circuit(n, circuit.bind_parameters(values).gates)
     expected = run(gates, initial).amplitudes
     assert np.allclose(program.run(initial, values).amplitudes, expected, rtol=0, atol=1e-12)

@@ -22,13 +22,13 @@ from quasimo.circuit import GATE_KINDS, Circuit, Gate, Param, PauliRotation, exp
 from quasimo.model import create_model
 from quasimo.pauli import PauliOperator, PauliString
 from quasimo.simulator import (
-    ROW_PLAN_QUBITS,
     StateVector,
     apply_gate,
     apply_operator,
     apply_pauli_string,
     expectation,
     pauli_rows,
+    rotate_rows,
     run,
 )
 from quasimo.workflow import get_workflow
@@ -305,27 +305,40 @@ def test_qite_cancel_inverses_circuit_stats_pinned():
     }
 
 
+@st.composite
+def rotation_tables(draw):
+    """(num_qubits, strings, picks, thetas) on 1-5 qubits: Z-only, X-only and
+    Y-carrying strings, picks in any order (repeats and none included) and
+    one angle per string, zero and negative ones among them."""
+    n = draw(st.integers(1, 5))
+    masks = st.integers(1, 2**n - 1)
+    strings = []
+    for kind in draw(st.lists(st.sampled_from("XYZ"), min_size=1, max_size=6)):
+        mask = draw(masks)
+        if kind == "Z":
+            strings.append(PauliString.from_masks(0, mask))
+        elif kind == "X":
+            strings.append(PauliString.from_masks(mask, 0))
+        else:  # a Y on mask's lowest qubit, any factors elsewhere
+            strings.append(PauliString.from_masks(mask, draw(masks) | (mask & -mask)))
+    picks = draw(st.lists(st.integers(0, len(strings) - 1), max_size=8))
+    some_angles = st.one_of(st.sampled_from([0.0, -0.0, -1e-13, -np.pi]), angles)
+    thetas = draw(st.lists(some_angles, min_size=len(strings), max_size=len(strings)))
+    return n, strings, picks, np.array(thetas)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_a_row_plan_rotates_bit_for_bit_like_the_strided_plan(data):
-    # A row's entries and the strided plan's phase and signs are all +-1 or
-    # +-i, so the two plans multiply the same reals and agree exactly.
-    n = data.draw(st.integers(1, ROW_PLAN_QUBITS))
-    x = data.draw(st.integers(1, 2**n - 1))  # an X or Y factor
-    string = PauliString.from_masks(x, data.draw(st.integers(0, 2**n - 1)))
-    theta = data.draw(angles)
-    amps = random_state(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+@given(rotation_tables(), st.integers(0, 2**32 - 1))
+def test_rotate_rows_equals_one_strided_rotation_per_pick_bit_for_bit(table, seed):
+    # The table's signs and phases and the strided plan's are all +-1 or +-i,
+    # so both multiply the same reals and agree exactly.
+    n, strings, picks, thetas = table
+    amps = random_state(n, np.random.default_rng(seed))
     before = amps.copy()
-    strided = simulator._pauli_plan(string.factors, n)
-    row = simulator._row_plan(string, n)
-    expected = simulator._pauli_rotation(amps, strided, theta)
-    got = simulator._pauli_rotation(amps, row, theta)
-    assert np.array_equal(got, expected) and np.array_equal(amps, before)
-    assert simulator._pauli_rotation(amps, row, theta, out=amps) is amps
-    assert np.array_equal(amps, expected)
-    # A row is built only for a string with a Z or Y factor, and both its
-    # parts are read-only, the index shared per (width, x mask).
-    index, signs = row
-    assert (signs is None) == (string.z == 0) and not index.flags.writeable
-    assert signs is None or not signs.flags.writeable
-    assert index is simulator._row_plan(PauliString.from_masks(x, 0), n)[0]
+    expected = amps
+    for i in picks:
+        plan = simulator._pauli_plan(strings[i].factors, n)
+        expected = simulator._pauli_rotation(expected, plan, thetas[i])
+    got = rotate_rows(pauli_rows(strings, n), amps, picks, thetas)
+    assert got is not amps and np.array_equal(amps, before)
+    assert np.array_equal(got, expected)

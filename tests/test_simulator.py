@@ -54,6 +54,17 @@ def test_run_refuses_a_basis_index_that_is_not_an_int(index):
         compile_circuit(Circuit(2)).run(index)
 
 
+@pytest.mark.parametrize("index", [-1, 4, np.int64(4)], ids=repr)
+def test_run_refuses_a_basis_index_out_of_range(index):
+    message = f"basis index {index} out of range for 2 qubits"
+    with pytest.raises(ValueError, match=message):
+        run(Circuit(2), index)
+    with pytest.raises(ValueError, match=message):
+        compile_circuit(Circuit(2)).run(index)
+    with pytest.raises(ValueError, match=message):
+        StateVector.basis(2, index)
+
+
 def test_run_width_mismatch():
     with pytest.raises(WidthMismatchError):
         run(Circuit(2), StateVector.zero(3))

@@ -379,6 +379,36 @@ def test_registered_circuit_optimizer_runs_once_per_qite_step(monkeypatch):
     assert result["final-circuit-stats"] == outputs[-1].gate_counts()
 
 
+def test_qite_steps_after_the_first_build_no_program_or_kernel_plan(monkeypatch):
+    # A step rotates the state straight from the basis's ``pauli_rows`` table
+    # (marked "step" below), and the operators' compiled forms are built
+    # before the first, so no later step compiles a Program or plans a string.
+    built = []
+    pauli_plan, post_init = simulator._pauli_plan, simulator.Program.__post_init__
+    rotate_rows = workflow_mod.rotate_rows
+
+    def counted_plan(*args, **kwargs):
+        built.append("_pauli_plan")
+        return pauli_plan(*args, **kwargs)
+
+    def counted_program(self):
+        built.append("Program")
+        post_init(self)
+
+    def marked_step(*args):
+        built.append("step")
+        return rotate_rows(*args)
+
+    monkeypatch.setattr(simulator, "_pauli_plan", counted_plan)
+    monkeypatch.setattr(simulator.Program, "__post_init__", counted_program)
+    monkeypatch.setattr(workflow_mod, "rotate_rows", marked_step)
+    model = create_model("tfim", {"num_spins": 3, "initial-state": "100"})
+    get_workflow("qite", {"steps": 4, "step-size": 0.1}).execute(model)
+    first = built.index("step")
+    assert {"Program", "_pauli_plan"} <= set(built[:first])  # the prep's run, the compiled H
+    assert built[first:] == ["step"] * 4
+
+
 # -- cross-cutting ---------------------------------------------------------------
 
 
@@ -547,13 +577,13 @@ def test_objective_calls_after_the_first_construct_no_circuit_or_op(case, monkey
 
 @pytest.mark.parametrize("case", ["qaoa", "vqe-sampled"])
 def test_objective_calls_after_the_first_build_no_kernel_plan_or_tensor_index(case, monkeypatch):
-    # The compiled ansatz holds every rotation step's plan, strided or row,
-    # and every rotation layer's Kronecker tables, and the observable's
-    # compiled form (built by the first call) its gathers'.  A gate left
+    # The compiled ansatz holds every rotation step's plan and every rotation
+    # layer's Kronecker tables, and the observable's compiled form (built by
+    # the first call) its gathers'.  A gate left
     # unfused, such as the fifth H of a 5-node QAOA, still plans per call; on
     # 8 nodes every H is in a fused block.
     built = []
-    for name in ("_pauli_plan", "_row_plan", "_kron_table", "_tensor_index"):
+    for name in ("_pauli_plan", "_kron_table", "_tensor_index"):
         function = getattr(simulator, name)
 
         def counted(*args, function=function, name=name, **kwargs):
