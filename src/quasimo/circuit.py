@@ -283,22 +283,19 @@ class Circuit:
 
         Counted without building the expansion: a PauliRotation on w qubits
         adds its factors' basis changes into Z and back, 2(w-1) CNOTs and one
-        Rz (see ``PauliRotation.gates``).  Its X and Y factors are counted
-        from the string's masks, and each axis's basis-change gates are added
-        once, for all of its factors.
+        Rz (see ``PauliRotation.gates``).  One numpy pass over all rotations'
+        mask bytes counts popcount(x & ~z) X factors, popcount(x & z) Y factors
+        and w = popcount(x | z); each axis's basis changes are added once.
         """
-        counts = Counter()
-        factors = Counter()
-        for op in self.ops:
-            if isinstance(op, Gate):
-                counts[op.kind] += 1
-                continue
-            x, z = op.string.x, op.string.z
-            factors["X"] += (x & ~z).bit_count()
-            factors["Y"] += (x & z).bit_count()
-            counts["CNOT"] += 2 * ((x | z).bit_count() - 1)
-            counts["Rz"] += 1
-        for axis, number in factors.items():
+        counts = Counter(op.kind for op in self.ops if isinstance(op, Gate))
+        strings = [op.string for op in self.ops if not isinstance(op, Gate)]
+        size = (self.num_qubits + 7) // 8  # bytes per mask
+        x = np.frombuffer(b"".join(s.x.to_bytes(size, "little") for s in strings), np.uint8)
+        z = np.frombuffer(b"".join(s.z.to_bytes(size, "little") for s in strings), np.uint8)
+        counts["CNOT"] += 2 * (int(np.bitwise_count(x | z).sum()) - len(strings))
+        counts["Rz"] += len(strings)
+        for axis, bits in (("X", x & ~z), ("Y", x & z)):
+            number = int(np.bitwise_count(bits).sum())
             for kind, count in _basis_change_counts(axis).items():
                 counts[kind] += number * count
         counts = {kind: count for kind, count in counts.items() if count}

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import ansatz, model as model_mod, workflow as workflow_mod
 from .optimizer import config_value
 from .tapering import auto_sector, find_z2_symmetries, taper
-from .validation import distance
+from .validation import ValidationCriteria, accept_results
 
 SEED_ENV_VAR = "QUASIMO_SEED"
 
@@ -185,6 +185,8 @@ def _read_column(path: str, column):
                         f"header's {len(reader.fieldnames)} field(s)"
                     )
                 values.append(float(row[name]))
+            if not values:
+                raise ConfigError(f"{path} has no data rows")
             return values
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
@@ -197,26 +199,20 @@ def _read_column(path: str, column):
 def _cmd_validate(args) -> int:
     try:
         series = _read_column(args.results, args.column)
-        if not series:
-            raise ConfigError(f"{args.results} has no data rows")
         try:
             reference = [float(args.reference)]
-            reference_is_scalar = True
         except ValueError:
             reference = _read_column(args.reference, args.column)
-            if not reference:
-                raise ConfigError(f"{args.reference} has no data rows")
-            reference_is_scalar = False
-        if args.measure == "abs-diff":
-            measured = distance("abs-diff", series[-1], reference[-1])
         else:
-            if reference_is_scalar:
+            if args.measure == "rmse":
                 raise ConfigError("rmse needs a reference CSV, not a scalar")
-            measured = distance("rmse", series, reference)
+        if args.measure == "abs-diff":
+            series, reference = series[-1], reference[-1]
+        criteria = ValidationCriteria(args.measure, args.threshold, reference)
+        accepted, measured = accept_results({criteria.key: series}, criteria)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    accepted = measured <= args.threshold
     print(f"{args.measure} = {_fmt(measured)} ({'accepted' if accepted else 'rejected'})")
     return EXIT_OK if accepted else EXIT_REJECTED
 

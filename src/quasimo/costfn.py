@@ -30,7 +30,7 @@ class EvaluatorConfig:
     """How to turn (state, observable) into a number.
 
     ``shots == 0`` is exact; ``1 <= shots <= MAX_SHOTS`` is the per-term
-    tomography budget.
+    tomography budget; ``seed >= 0``.
     ``seed`` makes sampling deterministic; term k of a given evaluation draws
     from the PCG64 stream seeded with (seed, k).  Its starting state is saved
     once per (seed, term count), whatever the observable, and restored before
@@ -49,6 +49,8 @@ class EvaluatorConfig:
                 object.__setattr__(self, name, config_value(vars(self), name, int))
         if not 0 <= self.shots <= MAX_SHOTS:
             raise ValueError(f"evaluator 'shots' must be in [0, 2**63 - 1], got {self.shots!r}")
+        if self.seed < 0:
+            raise ValueError(f"evaluator 'seed' must be >= 0, got {self.seed!r}")
 
 
 _THREAD = threading.local()

@@ -300,8 +300,8 @@ OPTION_KEYS = frozenset().union(*(m.options for m in _METHODS.values()))
 class Optimizer:
     """A named minimization method with frozen options.
 
-    Options (all optional): ``budget`` (default 200) and ``seed`` (default
-    0) for every method, ``perturbation`` and ``stability`` for SPSA,
+    Options (all optional): ``budget`` (default 200) and ``seed`` (>= 0,
+    default 0) for every method, ``perturbation`` and ``stability`` for SPSA,
     ``tolerance`` for Nelder-Mead.  Nelder-Mead takes a ``seed`` too, since
     a workflow hands its seed to every optimizer, but draws nothing.  An
     unknown name, an option key the method does not read or an option value
@@ -322,6 +322,8 @@ class Optimizer:
         self.name, self._method = name, method
         self.budget = config_value(options, "budget", int, 200)
         self.seed = config_value(options, "seed", int, 0)
+        if self.seed < 0:
+            raise ValueError(f"optimizer option 'seed' must be >= 0, got {self.seed}")
         self._options = {
             key: config_value(options, key, float) for key in options if key not in _COMMON_KEYS
         }

@@ -104,6 +104,7 @@ class QuantumSimulationWorkflow:
                 raise BadConfigError(f"workflow '{self.name}' requires config key '{key}'")
         self.config = config
         self.seed = config_value(config, "seed", int, 0)
+        _require(self.seed >= 0, f"config key 'seed' must be >= 0, got {self.seed}")
         shots = config_value(config, "shots", int, 0)
         self.evaluator = CostFunctionEvaluator(EvaluatorConfig(shots, self.seed))
         self._check_config()
@@ -328,8 +329,10 @@ class QiteWorkflow(QuantumSimulationWorkflow):
     <P_I psi|P_J psi>, lambda = 1e-8, needs no solve: as the sum of P rho P
     over all 4^n Paulis is 2^n tr(rho) I, S + S^T is 2^n on the right-hand
     side's span, so a_I = 2*Im<P_I psi|H psi> / (sqrt(c) * (2^n + lambda)).
-    exp(-i*a_I*dbeta*P_I) is appended in canonical order, and the state takes
-    it from the basis's ``pauli_rows`` table, as the overlaps do.
+    The state takes exp(-i*a_I*dbeta*P_I) in canonical order from the
+    basis's ``pauli_rows`` table, as the overlaps do.  The circuit gets the
+    kept rotations when it is read: per step by a "circuit-optimizer" pass,
+    and once after the last step.
 
     Config: "steps" (required), "step-size" (dbeta > 0, required),
     "circuit-optimizer" (pass name or callable, optional).
@@ -348,9 +351,7 @@ class QiteWorkflow(QuantumSimulationWorkflow):
 
     def _resolve_circuit_optimizer(self):
         value = self.config.get("circuit-optimizer")
-        if value is None:
-            return None
-        if callable(value):
+        if value is None or callable(value):
             return value
         if str(value) in _CIRCUIT_OPTIMIZERS:
             return _CIRCUIT_OPTIMIZERS[str(value)]
@@ -373,20 +374,21 @@ class QiteWorkflow(QuantumSimulationWorkflow):
         rows = pauli_rows(basis, n)
 
         circuit = model.state_prep
+        pending = []
         state = run(circuit)
         amps = state.amplitudes
         values = [self.evaluator.evaluate_state(state, model.observable)]
         for _ in range(self.steps):
             thetas = self._solve_step(amps, model.hamiltonian, rows, self.dbeta, n) * self.dbeta
             picks = np.flatnonzero(np.abs(thetas) >= 1e-12)
-            chunk = Circuit(n, tuple(PauliRotation(basis[i], thetas[i]) for i in picks))
-            circuit = circuit.compose(chunk)
+            pending += [PauliRotation(basis[i], thetas[i]) for i in picks]
             if self.circuit_optimizer is not None:
-                circuit = self.circuit_optimizer(circuit)
+                circuit = self.circuit_optimizer(circuit.compose(Circuit(n, tuple(pending))))
+                pending = []
             amps = rotate_rows(rows, amps, picks, thetas)
             amps = amps / np.linalg.norm(amps)
-            state = StateVector(n, amps)
-            values.append(self.evaluator.evaluate_state(state, model.observable))
+            values.append(self.evaluator.evaluate_state(StateVector(n, amps), model.observable))
+        circuit = circuit.compose(Circuit(n, tuple(pending)))
         return WorkflowResult(
             {
                 "exp-vals": values,

@@ -262,6 +262,9 @@ MALFORMED_VALUES = [
     ("evaluator-shots=-5", "shots", with_value(QITE, "evaluator", None, {"shots": -5})),
     ("workflow-shots=1e30", "shots", with_value(QITE, "workflow", "shots", 1e30)),
     ("evaluator-shots=1e30", "shots", with_value(QITE, "evaluator", None, {"shots": 1e30})),
+    # numpy's default_rng refuses a negative seed only once the run has started.
+    ("workflow-seed=-1", "seed", with_value(QAOA, "workflow", "seed", -1)),
+    ("evaluator-seed=-1", "seed", with_value(VQE, "evaluator", None, {"shots": 100, "seed": -1})),
     ("csv=''", "csv", with_value(small_quench_config(), "output", "csv", "")),
 ] + [
     # The CSV name is joined to --out, so any path component would escape it.
@@ -439,6 +442,19 @@ def test_integral_float_and_string_spellings_still_convert(tmp_path):
     assert float(lines[1].split(",")[2]) == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_a_negative_seed_from_the_flag_or_the_environment_exits_2(
+    source, tmp_path, monkeypatch, capsys
+):
+    config = write_config(tmp_path / "cfg.json", with_value(VQE, "evaluator", None, {"shots": 100}))
+    flags = ["--seed", "-5"] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("QUASIMO_SEED", "-5")
+    assert main(["run", "--config", config, "--out", str(tmp_path), "--quiet", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'seed'" in err
+
+
 def test_malformed_env_seed_exits_2_naming_the_variable(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QUASIMO_SEED", "x")
     config = write_config(tmp_path / "cfg.json", QITE)
@@ -537,6 +553,17 @@ def test_validate_scalar_reference_rejects(tmp_path, capsys):
     )
     assert code == 1
     assert "rejected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
+def test_validate_a_threshold_that_is_not_positive_exits_2(threshold, tmp_path, capsys):
+    # Acceptance is decided by ValidationCriteria and accept_results, as in the API.
+    results = tmp_path / "results.csv"
+    results.write_text("step,time,exp_val\n0,0.0,1.0\n")
+    code = main(["validate", str(results), "--reference", "1.0", "--threshold", threshold])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "threshold" in err
 
 
 def test_validate_missing_column_exits_2(tmp_path, capsys):

@@ -103,6 +103,9 @@ def test_evaluator_config_validation():
     for shots in (-1, MAX_SHOTS + 1):
         with pytest.raises(ValueError, match="'shots'"):
             EvaluatorConfig(shots=shots)
+    # numpy's default_rng would refuse a negative seed only at the first draw, unnamed.
+    with pytest.raises(ValueError, match="'seed'"):
+        EvaluatorConfig(shots=100, seed=-1)
     # The largest count numpy's binomial accepts still draws.
     assert evaluate(Circuit(1), Z(0), EvaluatorConfig(shots=MAX_SHOTS)) == 1.0
     # shots == 0 is the exact evaluator, on any state and any seed.

@@ -7,6 +7,7 @@ from quasimo.costfn import EvaluatorConfig, evaluate
 from quasimo.optimizer import (
     BudgetTooSmallError,
     NonFiniteObjectiveError,
+    Optimizer,
     Trace,
     create_optimizer,
     nelder_mead_minimize,
@@ -126,6 +127,12 @@ def test_unknown_option_key_names_the_key():
 def test_an_option_the_method_does_not_read_names_the_key(name, options, key):
     with pytest.raises(ValueError, match=f"'{key}'"):
         create_optimizer(name, options)
+
+
+@pytest.mark.parametrize("name", ["spsa", "nelder-mead"])
+def test_a_negative_seed_names_the_key(name):
+    with pytest.raises(ValueError, match="'seed'"):
+        Optimizer(name, {"seed": -1})
 
 
 def test_every_method_takes_a_budget_and_a_seed():

@@ -305,6 +305,24 @@ def test_qite_cancel_inverses_circuit_stats_pinned():
     }
 
 
+@pytest.mark.parametrize(
+    "circuit_pass, expected",
+    [
+        (None, {"CNOT": 25172, "H": 23128, "Rz": 4536, "S": 6186, "Sdg": 6186, "total": 65208}),
+        ("cancel-inverses",
+         {"CNOT": 24232, "H": 7046, "Rz": 4536, "S": 1684, "Sdg": 1684, "total": 39182}),
+    ],
+    ids=["no-pass", "cancel-inverses"],
+)
+def test_five_qubit_qite_circuit_stats_pinned(circuit_pass, expected):
+    # The 5-qubit TFIM run the CI determinism loop writes: 4536 kept rotations.
+    model = create_model("tfim", {"Jz": -1.0, "hx": -1.0, "num_spins": 5, "initial-state": "00000"})
+    config = {"steps": 10, "step-size": 0.1}
+    if circuit_pass is not None:
+        config["circuit-optimizer"] = circuit_pass
+    assert get_workflow("qite", config).execute(model)["final-circuit-stats"] == expected
+
+
 @st.composite
 def rotation_tables(draw):
     """(num_qubits, strings, picks, thetas) on 1-5 qubits: Z-only, X-only and

@@ -1,5 +1,12 @@
+import functools
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from quasimo import simulator
 from quasimo import workflow as workflow_mod
@@ -17,8 +24,8 @@ from quasimo.model import (
     create_tfim,
 )
 from quasimo.optimizer import Optimizer, create_optimizer, nelder_mead_minimize
-from quasimo.pauli import PauliOperator, TooManyQubitsError, X, Z, parse
-from quasimo.simulator import apply_operator, apply_pauli_string, pauli_rows
+from quasimo.pauli import _AXIS_MATRIX, PauliOperator, PauliString, TooManyQubitsError, X, Z, parse
+from quasimo.simulator import apply_operator, apply_pauli_string, pauli_rows, run
 from quasimo.validation import CriteriaValidationModel, ValidationCriteria, exact_ground_energy
 from quasimo.workflow import (
     QITE_REGULARIZATION,
@@ -35,7 +42,7 @@ from quasimo.workflow import (
     register_workflow,
 )
 
-from conftest import random_hermitian, random_state
+from conftest import embedded, random_hermitian, random_state
 
 
 def neel_heisenberg(g, num_spins=9):
@@ -350,6 +357,134 @@ def test_qite_closed_form_step_solves_the_dense_system(n):
         # The two solutions may differ along the matrix's null space, which the
         # generator sum_I a_I P_I psi does not see.
         assert np.max(np.abs(closed @ rotated - solved @ rotated)) < 1e-12
+
+
+def dense_pauli_basis(n):
+    """(factors, matrix) for the 4^n - 1 non-identity strings in canonical
+    order, their (qubit, axis) factor tuples sorted; each matrix is a
+    ``np.kron`` product, qubit 0 the lowest bit of the basis index."""
+    basis = []
+    for axes in itertools.product("IXYZ", repeat=n):
+        factors = tuple((q, axis) for q, axis in enumerate(axes) if axis != "I")
+        if factors:
+            matrix = functools.reduce(np.kron, [_AXIS_MATRIX[a] for a in axes[::-1]])
+            basis.append((factors, matrix))
+    return sorted(basis, key=lambda entry: entry[0])
+
+
+def dense_qite(model, steps, dbeta, circuit_pass=None):
+    """QITE written with dense matrices: each step builds S and b from the
+    dense basis, solves (S + S^T + lambda*I) a = b by LU, applies
+    expm(-i*theta_I*P_I) for every theta = a*dbeta with |theta| >= 1e-12 in
+    canonical order and normalises.  Returns the observable before and after
+    every step, and the gate counts of the prep plus the kept rotations
+    (``circuit_pass`` applied after each step's rotations)."""
+    n = model.num_qubits
+    hamiltonian = model.hamiltonian.to_matrix(n)
+    observable = model.observable.to_matrix(n)
+    basis = dense_pauli_basis(n)
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0] = 1.0
+    for gate in model.state_prep.gates:
+        psi = embedded(gate, n) @ psi
+    circuit = model.state_prep
+    values = [np.vdot(psi, observable @ psi).real]
+    for _ in range(steps):
+        h_psi = hamiltonian @ psi
+        norm_factor = 1.0 - 2.0 * dbeta * np.vdot(psi, h_psi).real
+        rows = np.stack([matrix @ psi for _, matrix in basis])
+        overlap = rows.conj() @ rows.T
+        matrix = (overlap + overlap.T).real + QITE_REGULARIZATION * np.eye(len(basis))
+        rhs = 2.0 * np.imag(rows.conj() @ h_psi) / np.sqrt(norm_factor)
+        thetas = np.linalg.solve(matrix, rhs) * dbeta
+        chunk = []
+        for (factors, pauli), theta in zip(basis, thetas):
+            if abs(theta) >= 1e-12:
+                psi = expm(-1j * theta * pauli) @ psi
+                chunk.append(PauliRotation(PauliString(dict(factors)), theta))
+        psi = psi / np.linalg.norm(psi)
+        circuit = circuit.compose(Circuit(n, tuple(chunk)))
+        if circuit_pass is not None:
+            circuit = circuit_pass(circuit)
+        values.append(np.vdot(psi, observable @ psi).real)
+    counts = Counter(gate.kind for gate in circuit.gates)
+    counts["total"] = len(circuit.gates)
+    return values, dict(counts)
+
+
+@st.composite
+def small_qite_models(draw):
+    """A 2-3 spin TFIM or Heisenberg chain from a random bit string.
+
+    Couplings are whole tenths in [-1, 1]: a coefficient near 1e-12 would
+    put some angle on the 1e-12 keep threshold, where the oracle's rounding
+    and the workflow's may fall on either side.  GHZ starts are left out:
+    there the LU solve leaves about 1e-9 along the null space of S + S^T,
+    so the oracle keeps rotations whose exact angle is 0."""
+    n = draw(st.integers(2, 3))
+    coupling = st.integers(-10, 10).map(lambda k: k / 10)
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        options = {"Jz": draw(coupling), "hx": draw(coupling), "num_spins": n,
+                   "initial-state": "".join(map(str, bits))}
+        return create_model("tfim", options)
+    options = {key: draw(coupling) for key in ("Jx", "Jy", "Jz", "h_ext")}
+    options["observable"] = draw(st.sampled_from(["staggered_magnetization", "energy"]))
+    return create_model("heisenberg", {**options, "num_spins": n, "initial_spins": bits})
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_qite_models(), st.integers(1, 3), st.sampled_from([0.02, 0.05]), st.booleans())
+def test_qite_matches_the_dense_oracle(model, steps, dbeta, cancel):
+    # |<H>| <= 9 on these chains, so the norm factor stays above 0.1.
+    config = {"steps": steps, "step-size": dbeta}
+    if cancel:
+        config["circuit-optimizer"] = "cancel-inverses"
+    result = get_workflow("qite", config).execute(model)
+    values, counts = dense_qite(model, steps, dbeta, cancel_adjacent_inverses if cancel else None)
+    assert np.max(np.abs(np.array(result["exp-vals"]) - values)) < 1e-9
+    assert result["final-circuit-stats"] == counts
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_tfim_ghz_prep_makes_the_ghz_state(n):
+    prep = create_model("tfim", {"num_spins": n, "initial-state": "ghz"}).state_prep
+    ghz = np.zeros(2**n)
+    ghz[0] = ghz[-1] = 2**-0.5
+    dense = functools.reduce(lambda psi, gate: embedded(gate, n) @ psi, prep.gates, np.eye(2**n)[0])
+    assert np.allclose(dense, ghz, atol=1e-15)
+    assert np.allclose(run(prep).amplitudes, ghz, atol=1e-15)
+
+
+def test_ghz_qite_stats_count_the_prep_and_every_kept_rotation():
+    # An identity pass exposes the circuit, composed per step; without a
+    # pass the rotations are composed once, after the last step.
+    model = create_model("tfim", {"num_spins": 3, "initial-state": "ghz"})
+    seen = []
+
+    def keep(circuit):
+        seen.append(circuit)
+        return circuit
+
+    config = {"steps": 3, "step-size": 0.1}
+    plain = get_workflow("qite", config).execute(model)
+    kept = get_workflow("qite", {**config, "circuit-optimizer": keep}).execute(model)
+    assert len(seen) == 3
+    assert seen[-1].ops[:3] == model.state_prep.ops  # H(0), CNOT(0,1), CNOT(0,2)
+    expected = Counter(gate.kind for gate in seen[-1].gates)
+    expected["total"] = len(seen[-1].gates)
+    assert plain == kept
+    assert plain["final-circuit-stats"] == dict(expected)
+    no_steps = get_workflow("qite", {"steps": 0, "step-size": 0.1}).execute(model)
+    assert no_steps["final-circuit-stats"] == {"H": 1, "CNOT": 2, "total": 3}
+
+
+def test_a_callable_circuit_optimizer_matches_the_named_pass():
+    model = create_model("tfim", {"num_spins": 3, "initial-state": "000"})
+    config = {"steps": 4, "step-size": 0.45}
+    named = get_workflow("qite", {**config, "circuit-optimizer": "cancel-inverses"})
+    passed = get_workflow("qite", {**config, "circuit-optimizer": cancel_adjacent_inverses})
+    assert passed.execute(model) == named.execute(model)
 
 
 def test_qite_unknown_circuit_optimizer():
