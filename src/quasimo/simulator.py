@@ -54,16 +54,17 @@ register width, into the one form that ``apply_operator`` and
 first, D_x[k] = sum of c * (-i)^#Y * (-1)^popcount(k & z) over its terms
 (and the constant, for x = 0), a scalar if none has a Z/Y factor, and the
 plan of the gather psi[k ^ x].  H psi = D_0 psi plus D_x psi[k ^ x] per X/Y
-group, and ``expectation`` is Re <psi|H psi>.  ``parity_masses`` gets every
-term's ||psi +/- P psi||^2 in one vectorised pass per group, max(1,
-``CHUNK_AMPLITUDES`` >> n) terms at a time, from sign rows that its first
-call on a width builds; both are sums of squares, so p_even lies in [0, 1]
+group, and ``expectation`` is Re <psi|H psi>.  ``parity_masses`` gathers P
+psi from the measured terms' ``pauli_rows`` table (terms() order, built on
+its first call on a width) as ``pauli_overlaps`` does, max(1,
+``CHUNK_AMPLITUDES`` >> n) rows at a time whatever their x masks, and sums
+||psi +/- P psi||^2; both are sums of squares, so p_even lies in [0, 1]
 unclamped, and their sum, 4 ||psi||^2, checks the state's norm for free.
 """
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import groupby
+from itertools import count, groupby
 from math import cos, sin
 from typing import NamedTuple
 
@@ -290,11 +291,15 @@ def pauli_rows(strings, n: int) -> tuple:
     return x, signs, phases
 
 
-def pauli_overlaps(rows: tuple, amps: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """<P_i psi|other> for every row i of a ``pauli_rows`` table, by one gather."""
+def _pauli_images(rows: tuple, amps: np.ndarray, part=slice(None)) -> np.ndarray:
+    """P_i psi, one row each, for the rows i in ``part`` of a ``pauli_rows`` table."""
     x, signs, phases = rows
-    rotated = phases[:, None] * signs * amps[np.arange(len(amps)) ^ x[:, None]]
-    return rotated.conj() @ other
+    return phases[part, None] * signs[part] * amps[np.arange(len(amps)) ^ x[part, None]]
+
+
+def pauli_overlaps(rows: tuple, amps: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """<P_i psi|other> for every row i of a ``pauli_rows`` table."""
+    return _pauli_images(rows, amps).conj() @ other
 
 
 def rotate_rows(rows: tuple, amps: np.ndarray, picks, thetas) -> np.ndarray:
@@ -583,12 +588,12 @@ def compile_circuit(circuit: Circuit) -> Program:
 
 
 class CompiledObservable(NamedTuple):
-    """An operator on one width; measured terms' slots run by x mask, then term."""
+    """An operator on one width; its measured terms' slots run in terms() order."""
 
     num_qubits: int
-    groups: tuple  # per x mask, ascending from 0: (x, D_x, gather plan, first slot, end slot)
+    groups: tuple  # per x mask, ascending from 0: (D_x, gather plan or None for x = 0)
     terms: tuple  # (c.real, slot) in terms() order; slot -1 for the constant
-    rows: tuple = None  # per slot, int8 sign rows and (-i)^#Y as a column; see parity_masses
+    rows: tuple = None  # the slots' read-only ``pauli_rows`` table; see parity_masses
 
 
 def _diagonal(terms, n: int, dtype):
@@ -609,7 +614,7 @@ def compile_observable(op: PauliOperator, n: int) -> CompiledObservable:
     """``op``'s one compiled form on n qubits (see the module docstring),
     memoised on the operator for the last width asked and replaced whole, so
     a racing thread can only drop work, which the next call redoes.  It holds
-    no sign rows until ``parity_masses`` adds them.
+    no ``pauli_rows`` table until ``parity_masses`` adds one.
 
     Raises:
         WidthMismatchError: op touches a qubit outside the register.
@@ -622,7 +627,7 @@ def compile_observable(op: PauliOperator, n: int) -> CompiledObservable:
         by_mask = {0: []}  # x -> (z, c * (-i)^#Y) in terms() order, the constant under x = 0
         for s, c in terms:
             by_mask.setdefault(s.x, []).append((s.z, c * (-1j) ** (s.x & s.z).bit_count()))
-        groups, end = [], 0
+        groups = []
         for x in sorted(by_mask):
             parts = by_mask[x]
             dtype = complex if any(c.imag for _, c in parts) else float
@@ -630,11 +635,9 @@ def compile_observable(op: PauliOperator, n: int) -> CompiledObservable:
             diagonal = np.asarray(_diagonal(parts, n, dtype), dtype)
             diagonal.flags.writeable = False  # shared by every thread that reads op
             gather = _pauli_plan(PauliString.from_masks(x, 0).factors, n) if x else None
-            first, end = end, end + sum(1 for z, _ in parts if x or z)
-            groups.append((x, diagonal, gather, first, end))
-        measured = sorted((s.x, k) for k, (s, _) in enumerate(terms) if not s.is_identity)
-        slot_of = {k: slot for slot, (_, k) in enumerate(measured)}
-        terms = tuple((c.real, slot_of.get(k, -1)) for k, (_, c) in enumerate(terms))
+            groups.append((diagonal, gather))
+        slots = count()
+        terms = tuple((c.real, -1 if s.is_identity else next(slots)) for s, c in terms)
         compiled = op._compiled = CompiledObservable(n, tuple(groups), terms)
     return compiled
 
@@ -642,10 +645,10 @@ def compile_observable(op: PauliOperator, n: int) -> CompiledObservable:
 def apply_operator(amps: np.ndarray, op: PauliOperator, n: int) -> np.ndarray:
     """A|psi> for a Pauli-sum operator (not unitary in general): D_0 psi plus
     D_x psi[k ^ x] per X/Y group of its compiled form, one gather each."""
-    (_, diagonal, *_), *groups = compile_observable(op, n).groups
+    (diagonal, _), *groups = compile_observable(op, n).groups
     out = diagonal * amps
     flipped = np.empty_like(amps) if groups else None
-    for _, diagonal, gather, *_ in groups:
+    for diagonal, gather in groups:
         _pauli_product(amps, gather, 1.0, flipped)
         flipped *= diagonal
         out += flipped
@@ -658,33 +661,26 @@ def parity_masses(amps: np.ndarray, op: PauliOperator, n: int) -> list:
     finite or is further than ``SAMPLE_NORM_TOL`` from 1 raises a ValueError."""
     compiled = compile_observable(op, n)
     if compiled.rows is None:
-        order = sorted(zip(compiled.terms, op.terms()), key=lambda pair: pair[0][1])
-        _, signs, phases = pauli_rows([s for (_, slot), (s, _) in order if slot >= 0], n)
-        phases = phases[:, None]
-        signs.flags.writeable = phases.flags.writeable = False
-        compiled = op._compiled = compiled._replace(rows=(signs, phases))
-    signs, phases = compiled.rows
+        rows = pauli_rows([s for s, _ in op.terms() if not s.is_identity], n)
+        for table in rows:
+            table.flags.writeable = False
+        compiled = op._compiled = compiled._replace(rows=rows)
     at_once = max(1, CHUNK_AMPLITUDES >> n)
     # Row 0: ||psi + P psi||^2 per slot; row 1: ||psi - P psi||^2.
-    norms = np.empty((2, len(signs)))
-    for x, _, gather, start, stop in compiled.groups:
-        flipped = _pauli_product(amps, gather, 1.0) if x else amps
-        for lo in range(start, stop, at_once):
-            hi = min(lo + at_once, stop)
-            pair = np.empty((2, hi - lo, len(amps)), dtype=complex)
-            np.multiply(signs[lo:hi], flipped, out=pair[1])  # P psi
-            pair[1] *= phases[lo:hi]
-            np.add(amps, pair[1], out=pair[0])
-            np.subtract(amps, pair[1], out=pair[1])
+    norms = np.empty((2, len(compiled.rows[0])))
+    for lo in range(0, norms.shape[1], at_once):
+        part = slice(lo, lo + at_once)
+        images = _pauli_images(compiled.rows, amps, part)
+        for row, pair in enumerate((amps + images, amps - images)):
             parts = pair.view(np.float64)
-            np.einsum("ijk,ijk->ij", parts, parts, out=norms[:, lo:hi])
+            np.einsum("jk,jk->j", parts, parts, out=norms[row, part])
     mass = norms[0] + norms[1]  # 4 ||psi||^2, once per term
-    for squared_norm in (mass * 0.25).tolist():
-        if not abs(squared_norm - 1.0) <= SAMPLE_NORM_TOL:  # also catches NaN
-            raise ValueError(
-                f"sampled tomography needs a normalised state: squared norm is "
-                f"{squared_norm!r}, not within {SAMPLE_NORM_TOL} of 1"
-            )
+    near = np.abs(mass * 0.25 - 1.0) <= SAMPLE_NORM_TOL  # NaN is never near
+    if not near.all():
+        raise ValueError(
+            f"sampled tomography needs a normalised state: squared norm is "
+            f"{float(mass[~near][0]) * 0.25!r}, not within {SAMPLE_NORM_TOL} of 1"
+        )
     p_even = (norms[0] / mass).tolist() + [None]  # the constant's slot, -1, reads None
     return [(coeff, p_even[slot]) for coeff, slot in compiled.terms]
 

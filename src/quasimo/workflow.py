@@ -229,10 +229,10 @@ class TimeDependentWorkflow(QuantumSimulationWorkflow):
         for _ in range(self.steps):
             state = program.run(state)
             values.append(self.evaluator.evaluate_state(state, model.observable))
-        stats = {}
-        for circuit, times in ((prep, 1), (step, self.steps)):
-            for kind, count in circuit.gate_counts().items():
-                stats[kind] = stats.get(kind, 0) + times * count
+        stats = prep.gate_counts()
+        if self.steps:  # a kind appears only with a nonzero count
+            for kind, count in step.gate_counts().items():
+                stats[kind] = stats.get(kind, 0) + self.steps * count
         return WorkflowResult({"exp-vals": values, "final-circuit-stats": stats})
 
     def csv_table(self, result: WorkflowResult):

@@ -5,15 +5,16 @@ dense matrix and the term-by-term kernel sum.
 register width, and folds each group, the x = 0 one with the constant, into
 one diagonal D_x.  ``expectation`` and ``apply_operator`` read D_0 plus one
 gather per X/Y group; the oracles here are the dense matrix and every term
-applied on its own.  ``parity_masses`` adds every measured term's int8 sign
-rows on its first call for a width.
+applied on its own.  ``parity_masses`` adds the measured terms'
+``pauli_rows`` table, in terms() order, on its first call for a width.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasimo import simulator
@@ -281,13 +282,13 @@ def test_x_y_groups_share_one_sign_row_table(calls_to, rng):
     amps = random_state(6, rng)
     expectation(StateVector(6, amps), hamiltonian)
     assert rows == []
-    # The first sampled pass builds every slot's rows in one call: the ZZ
-    # terms, then each bond's XX and YY, which share its x mask.
+    # The first sampled pass builds every slot's rows in one call: the
+    # measured terms in terms() order, whatever their x masks.
     for _ in range(2):
         masses = simulator.parity_masses(amps, hamiltonian, 6)
         assert len(rows) == 1
     strings, n = rows[0]
-    assert n == 6 and [s.x for s in strings] == [0] * 5 + [3 << q for q in range(5) for _ in "XY"]
+    assert n == 6 and strings == [s for s, _ in hamiltonian.terms() if not s.is_identity]
     assert [c for c, _ in masses] == [c.real for _, c in hamiltonian.terms()]
     p_even = [p for _, p in masses]
     assert np.allclose(p_even, _p_even_reference(hamiltonian, amps, 6), rtol=0, atol=1e-12)
@@ -305,6 +306,51 @@ def test_groups_folded_a_slice_at_a_time_match_the_matrix(chunk, monkeypatch, rn
     assert masses[[s for s, _ in op.terms()].index(PauliString())][1] is None
     p_even = [p for _, p in masses if p is not None]
     assert np.allclose(p_even, _p_even_reference(op, amps, 5), rtol=0, atol=1e-12)
+
+
+@st.composite
+def mixed_mask_operators(draw):
+    """(n, operator) on 1-5 qubits: a constant plus terms with nonzero
+    coefficients on two or three distinct x masks, each mask used at least
+    once, with Y factors wherever x and z overlap."""
+    n = draw(st.integers(1, 5))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(0, full), min_size=2, max_size=3, unique=True))
+    nonzero = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+    terms = {PauliString(): draw(coefficients)}
+    for x in masks + draw(st.lists(st.sampled_from(masks), max_size=8)):
+        z = draw(st.integers(0 if x else 1, full))
+        terms[PauliString.from_masks(x, z)] = draw(nonzero)
+    return n, PauliOperator(terms)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@settings(max_examples=100, deadline=None)
+@given(mixed_mask_operators(), st.integers(0, 2**32 - 1))
+def test_slots_of_several_x_masks_in_one_chunk_match_the_matrix(chunk, case, seed):
+    # parity_masses takes max(1, chunk >> n) slots at a time, whatever their
+    # x masks: at chunk 64 (two or more slots on n <= 5 qubits) some chunk
+    # must mix x masks, at 1 and 3 each slot is read alone.
+    n, op = case
+    at_once = max(1, chunk >> n)
+    xs = [s.x for s, _ in op.terms() if not s.is_identity]
+    chunks = [set(xs[lo : lo + at_once]) for lo in range(0, len(xs), at_once)]
+    assume(chunk != 64 or any(len(masks) > 1 for masks in chunks))
+    amps = random_state(n, np.random.default_rng(seed))
+    with mock.patch.object(simulator, "CHUNK_AMPLITUDES", chunk):
+        masses = simulator.parity_masses(amps, op, n)
+        assert [c for c, _ in masses] == [c.real for _, c in op.terms()]
+        p_even = [p for _, p in masses if p is not None]
+        assert np.allclose(p_even, _p_even_reference(op, amps, n), rtol=0, atol=1e-12)
+        for drift in (2e-8, -2e-8):
+            with pytest.raises(ValueError, match="squared norm is ") as error:
+                simulator.parity_masses(amps * np.sqrt(1 + drift), op, n)
+            named = str(error.value).split("squared norm is ")[1].split(",")[0]
+            assert float(named) == pytest.approx(1 + drift, rel=0, abs=1e-12)
+        broken = amps.copy()
+        broken[seed % len(amps)] = np.nan
+        with pytest.raises(ValueError, match="squared norm is nan"):
+            simulator.parity_masses(broken, op, n)
 
 
 @pytest.fixture

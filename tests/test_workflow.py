@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from quasimo import simulator
 from quasimo import workflow as workflow_mod
-from quasimo.ansatz import qaoa_ansatz, rx_ry
+from quasimo.ansatz import qaoa_ansatz, rx_ry, symmetric_trotter_step
 from quasimo.circuit import Circuit, Gate, PauliRotation, cancel_adjacent_inverses, h
 from quasimo.costfn import EvaluatorConfig, evaluate
 from quasimo.model import (
@@ -23,7 +23,7 @@ from quasimo.model import (
     create_star_maxcut,
     create_tfim,
 )
-from quasimo.optimizer import Optimizer, create_optimizer, nelder_mead_minimize
+from quasimo.optimizer import OptResult, Optimizer, create_optimizer, nelder_mead_minimize
 from quasimo.pauli import _AXIS_MATRIX, PauliOperator, PauliString, TooManyQubitsError, X, Z, parse
 from quasimo.simulator import apply_operator, apply_pauli_string, pauli_rows, run
 from quasimo.validation import CriteriaValidationModel, ValidationCriteria, exact_ground_energy
@@ -146,6 +146,64 @@ def test_time_dependent_first_order_option():
     flow = get_workflow("time-dependent", {"dt": 0.05, "steps": 1, "trotter-order": 1})
     values = flow.execute(neel_heisenberg(0.0, num_spins=5))["exp-vals"]
     assert len(values) == 2
+
+
+def test_time_dependent_stats_of_zero_and_two_steps():
+    # A kind enters the stats only with a nonzero count: 0 steps report the
+    # prep's counts alone, X gates only on a Neel state.
+    model = neel_heisenberg(0.5, num_spins=3)
+    flow = get_workflow("time-dependent", {"dt": 0.05, "steps": 0})
+    assert flow.execute(model)["final-circuit-stats"] == model.state_prep.gate_counts()
+    assert model.state_prep.gate_counts() == {"X": 1, "total": 1}
+    flow = get_workflow("time-dependent", {"dt": 0.05, "steps": 2})
+    step = symmetric_trotter_step(model.hamiltonian, 0.05, 3)
+    expected = Counter(gate.kind for gate in model.state_prep.gates + 2 * step.gates)
+    expected["total"] = len(model.state_prep.gates) + 2 * len(step.gates)
+    assert flow.execute(model)["final-circuit-stats"] == dict(expected)
+
+
+@st.composite
+def heisenberg_chains(draw):
+    """A 2-6 spin Heisenberg chain with random couplings, field, initial
+    spins and observable."""
+    n = draw(st.integers(2, 6))
+    coupling = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+    options = {key: draw(coupling) for key in ("Jx", "Jy", "Jz", "h_ext")}
+    options["observable"] = draw(st.sampled_from(["staggered_magnetization", "energy"]))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return create_model("heisenberg", {**options, "num_spins": n, "initial_spins": bits})
+
+
+@settings(max_examples=25, deadline=None)
+@given(heisenberg_chains(), st.sampled_from([1, 2]), st.integers(0, 3), st.floats(0.01, 0.2))
+def test_time_dependent_matches_the_dense_trotter_product(model, order, steps, dt):
+    # The oracle: expm(-i*c*dt*P) per non-constant term in terms() order
+    # (order 1), or the half-steps forward then reversed (order 2).
+    n = model.num_qubits
+    terms = [(s, c.real) for s, c in model.hamiltonian.terms() if not s.is_identity]
+    if order == 2:
+        terms = [(s, c / 2) for s, c in terms]
+        terms = terms + terms[::-1]
+    step = np.eye(2**n)
+    for string, coeff in terms:
+        step = expm(-1j * coeff * dt * PauliOperator.from_string(string).to_matrix(n)) @ step
+    psi = functools.reduce(
+        lambda psi, gate: embedded(gate, n) @ psi, model.state_prep.gates, np.eye(2**n)[0]
+    )
+    observable = model.observable.to_matrix(n)
+    expected = [np.vdot(psi, observable @ psi).real]
+    for _ in range(steps):
+        psi = step @ psi
+        expected.append(np.vdot(psi, observable @ psi).real)
+    config = {"dt": dt, "steps": steps, "trotter-order": order}
+    result = get_workflow("time-dependent", config).execute(model)
+    assert np.max(np.abs(np.array(result["exp-vals"]) - expected)) < 1e-10
+    gates = list(model.state_prep.gates)
+    for string, coeff in terms * steps:
+        gates.extend(PauliRotation(string, coeff * dt).gates)
+    counts = Counter(gate.kind for gate in gates)
+    counts["total"] = len(gates)
+    assert result["final-circuit-stats"] == dict(counts)
 
 
 def test_time_dependent_config_validation():
@@ -574,6 +632,49 @@ def test_workflow_validate_delegates():
 
 
 # -- work accounting and numerical guards ---------------------------------------
+
+
+class ProbingOptimizer(Optimizer):
+    """Calls each objective it is handed at the given points and keeps the
+    values, in place of minimizing."""
+
+    def __init__(self, points):
+        super().__init__("nelder-mead", {"budget": 200})
+        self.points, self.values = points, []
+
+    def minimize(self, f, x0):
+        self.values.extend(f(point) for point in self.points)
+        return OptResult(np.array(self.points[0]), self.values[0], evaluations_used=len(self.points))
+
+
+def _dense_energy(circuit, observable, theta):
+    """<psi|H|psi>, psi from the bound circuit's gates as ``embedded`` matrices."""
+    n = circuit.num_qubits
+    gates = circuit.bind_parameters(theta).gates
+    psi = functools.reduce(lambda psi, gate: embedded(gate, n) @ psi, gates, np.eye(2**n)[0])
+    return np.vdot(psi, observable.to_matrix(n) @ psi).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["vqe", "qaoa"]), st.integers(1, 2), st.integers(3, 6),
+       st.integers(0, 2**32 - 1))
+def test_variational_objectives_match_the_dense_gate_table(name, depth, nodes, seed):
+    # vqe: H2 with ``depth`` hardware-efficient layers; qaoa: a star graph on
+    # 3-6 nodes with p = ``depth``.  Each objective is the one _minimize
+    # builds, called at random angles.
+    if name == "qaoa":
+        model = create_star_maxcut(nodes)
+        circuit = qaoa_ansatz(model.hamiltonian, depth, nodes)
+        config = {"steps": depth, "starts": 1}
+    else:
+        model = create_model("h2", {"layers": depth})
+        circuit, config = model.state_prep, {}
+    rng = np.random.default_rng(seed)
+    points = [rng.uniform(-np.pi, np.pi, circuit.num_params) for _ in range(3)]
+    optimizer = ProbingOptimizer(points)
+    get_workflow(name, {**config, "optimizer": optimizer}).execute(model)
+    expected = [_dense_energy(circuit, model.observable, point) for point in points]
+    assert np.max(np.abs(np.array(optimizer.values) - expected)) < 1e-12
 
 
 class CountingOptimizer(Optimizer):
